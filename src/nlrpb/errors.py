@@ -8,7 +8,7 @@ class ValidationError(ValueError):
 
 
 class ConvergenceError(RuntimeError):
-    """An iterative routine exhausted its sweep budget."""
+    """A symmetric eigensolve did not converge."""
 
 
 class SchemaError(ValueError):

@@ -2,15 +2,18 @@
 
 All routines operate on plain ``numpy`` float64 arrays: matrices are
 2-d, vectors 1-d, and every entry point rejects NaN/Inf input.  The
-symmetric eigensolver is a cyclic Jacobi iteration rather than a LAPACK
-call: unconditionally convergent, easy to audit, and at the target
-sizes (N <= 64) as accurate as QR while staying fully deterministic,
-which the golden tests rely on.
+symmetric eigensolver is LAPACK, called through ``numpy.linalg.eigh``
+behind the ``SymEig`` contract (symmetry check, ascending eigenvalues,
+sign-fixed eigenvectors).  At a fixed BLAS thread count its output is
+bitwise deterministic from run to run, which the golden tests rely on
+and the test suite checks.  It keeps the name ``jacobi_eigh`` from the
+cyclic Jacobi solver it replaced, because the benchmark traces the
+eigensolver under that name; renaming it means updating the benchmark
+in the same change.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,15 +21,12 @@ import numpy as np
 from .errors import ConvergenceError, ValidationError
 
 __all__ = [
-    "COND_LIMIT",
     "SPD_GATE",
     "SymEig",
     "as_matrix",
     "as_vector",
     "default_tolerance",
-    "inverse",
     "jacobi_eigh",
-    "matmul",
     "residual_norm",
     "spd_deficit",
     "spd_inv_sqrt",
@@ -36,9 +36,6 @@ __all__ = [
 #: Relative eigenvalue floor under which a symmetric matrix is treated
 #: as not positive definite.
 SPD_GATE = 1e-12
-
-#: Condition-number ceiling for ``inverse``.
-COND_LIMIT = 1e12
 
 _SYM_RTOL = 1e-12
 _SIGN_CUTOFF = 1e-12
@@ -75,15 +72,6 @@ def as_vector(value, name: str = "vector") -> np.ndarray:
     return arr
 
 
-def matmul(a, b) -> np.ndarray:
-    """Matrix product with an explicit inner-dimension check."""
-    a = as_matrix(a, "matmul left operand")
-    b = as_matrix(b, "matmul right operand")
-    if a.shape[1] != b.shape[0]:
-        raise ValidationError(f"matmul: inner dimensions differ ({a.shape} x {b.shape})")
-    return a @ b
-
-
 def residual_norm(a, b) -> float:
     """Frobenius norm of ``a - b`` (the 2-norm for vectors)."""
     a = np.asarray(a, dtype=float)
@@ -113,25 +101,22 @@ class SymEig:
 
 
 def _fix_signs(vecs: np.ndarray) -> None:
-    for j in range(vecs.shape[1]):
-        for component in vecs[:, j]:
-            if abs(component) > _SIGN_CUTOFF:
-                if component < 0.0:
-                    vecs[:, j] = -vecs[:, j]
-                break
+    # Flip each column whose first component above the cutoff is negative.
+    # Every column of an orthonormal matrix has such a component.
+    first = np.argmax(np.abs(vecs) > _SIGN_CUTOFF, axis=0)
+    lead = vecs[first, np.arange(vecs.shape[1])]
+    vecs[:, lead < 0.0] *= -1.0
 
 
-def _offdiag_norm(mat: np.ndarray) -> float:
-    return float(np.linalg.norm(mat - np.diag(np.diag(mat))))
-
-
-def jacobi_eigh(a, max_sweeps: int = 100) -> SymEig:
-    """Eigendecomposition of a real symmetric matrix by cyclic Jacobi sweeps.
+def jacobi_eigh(a) -> SymEig:
+    """Eigendecomposition of a real symmetric matrix by LAPACK (``numpy.linalg.eigh``).
 
     The input must be symmetric within 1e-12 relative to its Frobenius
-    norm; it is exactly symmetrized before iterating.  Raises
-    ConvergenceError if the off-diagonal norm has not dropped below
-    1e-14 * ||A||_F after ``max_sweeps`` sweeps.
+    norm; it is exactly symmetrized before the solve.  The result is
+    bitwise deterministic at a fixed BLAS thread count.  Raises
+    ConvergenceError if LAPACK reports that the solve did not converge.
+    The name is kept from the Jacobi iteration this replaced, because
+    the benchmark traces the eigensolver by that name.
     """
     a = as_matrix(a, "jacobi_eigh")
     n, m = a.shape
@@ -141,48 +126,12 @@ def jacobi_eigh(a, max_sweeps: int = 100) -> SymEig:
     if residual_norm(a, a.T) > _SYM_RTOL * max(norm, 1.0):
         raise ValidationError("jacobi_eigh: matrix is not symmetric within tolerance")
     s = (a + a.T) / 2.0
-    v = np.eye(n)
     if n == 1 or norm == 0.0:
-        return SymEig(np.diag(s).copy(), v)
-    target = 1e-14 * norm
-
-    for _ in range(max_sweeps):
-        if _offdiag_norm(s) <= target:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = s[p, q]
-                if apq == 0.0:
-                    continue
-                theta = (s[q, q] - s[p, p]) / (2.0 * apq)
-                if theta >= 0.0:
-                    t = 1.0 / (theta + math.hypot(theta, 1.0))
-                else:
-                    t = 1.0 / (theta - math.hypot(theta, 1.0))
-                c = 1.0 / math.sqrt(t * t + 1.0)
-                sn = t * c
-                cp = s[:, p].copy()
-                cq = s[:, q].copy()
-                s[:, p] = c * cp - sn * cq
-                s[:, q] = sn * cp + c * cq
-                rp = s[p, :].copy()
-                rq = s[q, :].copy()
-                s[p, :] = c * rp - sn * rq
-                s[q, :] = sn * rp + c * rq
-                s[p, q] = 0.0
-                s[q, p] = 0.0
-                vp = v[:, p].copy()
-                vq = v[:, q].copy()
-                v[:, p] = c * vp - sn * vq
-                v[:, q] = sn * vp + c * vq
-    else:
-        if _offdiag_norm(s) > target:
-            raise ConvergenceError(f"jacobi_eigh: no convergence after {max_sweeps} sweeps")
-
-    lam = np.diag(s).copy()
-    order = np.argsort(lam, kind="stable")
-    lam = lam[order]
-    vecs = v[:, order].copy()
+        return SymEig(np.diag(s).copy(), np.eye(n))
+    try:
+        lam, vecs = np.linalg.eigh(s)  # LAPACK returns eigenvalues ascending
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceError(f"jacobi_eigh: {exc}") from exc
     _fix_signs(vecs)
     return SymEig(lam, vecs)
 
@@ -223,14 +172,3 @@ def spd_inv_sqrt(a) -> np.ndarray:
     v = eig.eigenvectors
     r = (v / np.sqrt(eig.eigenvalues)) @ v.T
     return (r + r.T) / 2.0
-
-
-def inverse(a) -> np.ndarray:
-    """Inverse of a square matrix with condition estimate below 1e12."""
-    a = as_matrix(a, "inverse")
-    if a.shape[0] != a.shape[1]:
-        raise ValidationError(f"inverse: matrix must be square, got {a.shape}")
-    cond = float(np.linalg.cond(a))
-    if not math.isfinite(cond) or cond >= COND_LIMIT:
-        raise ValidationError(f"inverse: condition estimate {cond:.3e} exceeds {COND_LIMIT:.0e}")
-    return np.linalg.inv(a)
