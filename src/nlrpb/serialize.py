@@ -14,10 +14,6 @@ Pair::
 
     {"h_matrix": Matrix, "theta": Matrix}
 
-Hermitized::
-
-    {"spectrum": [...], "shift": s, "e": [[row], ...]}
-
 Model artifact::
 
     {"family": "chebyshev"|"two-param", "params": {...},
@@ -25,9 +21,18 @@ Model artifact::
      "matrices": {"m": Matrix, "a": Matrix, "b": Matrix,
                   "s_phi": Matrix, "s_eta": Matrix}}
 
-Schema violations raise SchemaError.  Writes go to a temp file next to
-the target followed by os.replace, so readers never observe partial
-documents.  Floats round-trip exactly (shortest-repr encoding).
+Schema violations raise SchemaError, malformed files included.  Number
+lists are checked in bulk: an exact int/float type test, one numpy
+conversion and one finiteness test; only a list that fails is walked
+entry by entry, to name its first bad index.
+
+``dumps`` writes the same text as ``json.dumps(obj, indent=2,
+allow_nan=False)`` byte for byte.  The stdlib falls back to its
+pure-Python encoder whenever ``indent`` is set, one call per float;
+here each list of floats is joined in one step instead.  Floats use the
+shortest repr, so they round-trip exactly.  Writes go to a temp file
+next to the target followed by os.replace, so readers never observe
+partial documents.
 """
 
 from __future__ import annotations
@@ -39,7 +44,7 @@ import tempfile
 
 import numpy as np
 
-from .cryptoherm import CryptoPair, HermitizedSystem
+from .cryptoherm import CryptoPair
 from .errors import SchemaError
 from .pseudoboson import BiorthogonalSystem
 
@@ -48,8 +53,6 @@ __all__ = [
     "crypto_to_dict",
     "detect_kind",
     "dumps",
-    "hermitized_from_dict",
-    "hermitized_to_dict",
     "load_document",
     "matrix_from_dict",
     "matrix_to_dict",
@@ -62,6 +65,8 @@ __all__ = [
 
 _ARTIFACT_MATRICES = ("m", "a", "b", "s_phi", "s_eta")
 
+_encode_str = json.encoder.encode_basestring_ascii  # the C escaper json.dumps uses
+
 
 def _require(cond, message: str) -> None:
     if not cond:
@@ -70,14 +75,26 @@ def _require(cond, message: str) -> None:
 
 def _as_float(value, name: str) -> float:
     _require(isinstance(value, (int, float)) and not isinstance(value, bool), f"{name} must be a number")
-    value = float(value)
+    try:
+        value = float(value)
+    except OverflowError:  # an int beyond the float range
+        value = math.inf
     _require(math.isfinite(value), f"{name} must be finite")
     return value
 
 
-def _as_float_list(values, name: str) -> list:
+def _as_float_list(values, name: str) -> np.ndarray:
     _require(isinstance(values, list), f"{name} must be a list")
-    return [_as_float(v, f"{name}[{i}]") for i, v in enumerate(values)]
+    # Exact types: numpy would also convert bool and numeric strings.
+    if set(map(type, values)) <= {int, float}:
+        try:
+            arr = np.array(values, dtype=float)
+        except OverflowError:  # an int beyond the float range, named below
+            pass
+        else:
+            if np.isfinite(arr).all():
+                return arr
+    return np.array([_as_float(v, f"{name}[{i}]") for i, v in enumerate(values)], dtype=float)
 
 
 def _as_positive_int(value, name: str) -> int:
@@ -102,7 +119,7 @@ def matrix_to_dict(arr) -> dict:
     return {
         "rows": int(arr.shape[0]),
         "cols": int(arr.shape[1]),
-        "data": [float(v) for v in arr.ravel()],
+        "data": arr.ravel().tolist(),
     }
 
 
@@ -113,15 +130,15 @@ def matrix_from_dict(doc) -> np.ndarray:
     cols = _as_positive_int(doc["cols"], "cols")
     data = _as_float_list(doc["data"], "data")
     _require(len(data) == rows * cols, f"data length {len(data)} != rows*cols = {rows * cols}")
-    return np.array(data).reshape(rows, cols)
+    return data.reshape(rows, cols)
 
 
 def system_to_dict(sys: BiorthogonalSystem) -> dict:
     return {
         "n": int(sys.n),
-        "eps": [float(v) for v in sys.eps],
-        "phi": [[float(v) for v in row] for row in sys.phi],
-        "eta": [[float(v) for v in row] for row in sys.eta],
+        "eps": sys.eps.tolist(),
+        "phi": sys.phi.tolist(),
+        "eta": sys.eta.tolist(),
     }
 
 
@@ -134,7 +151,7 @@ def system_from_dict(doc) -> BiorthogonalSystem:
     _require(len(eps) == n, f"eps must have {n} entries")
     phi = _rows_from(doc["phi"], n, "phi")
     eta = _rows_from(doc["eta"], n, "eta")
-    return BiorthogonalSystem(n, np.array(eps), phi, eta)
+    return BiorthogonalSystem(n, eps, phi, eta)
 
 
 def crypto_to_dict(pair: CryptoPair) -> dict:
@@ -148,26 +165,6 @@ def crypto_from_dict(doc) -> CryptoPair:
     t = matrix_from_dict(doc["theta"])
     _require(h.shape[0] == h.shape[1] and h.shape == t.shape, "pair matrices must be square and of equal size")
     return CryptoPair(h, t)
-
-
-def hermitized_to_dict(hs: HermitizedSystem) -> dict:
-    return {
-        "spectrum": [float(v) for v in hs.spectrum],
-        "shift": float(hs.shift),
-        "e": [[float(v) for v in row] for row in hs.e],
-    }
-
-
-def hermitized_from_dict(doc) -> HermitizedSystem:
-    _require(isinstance(doc, dict), "hermitized document must be an object")
-    _require({"spectrum", "shift", "e"} <= set(doc), "hermitized document needs spectrum/shift/e")
-    spectrum = np.array(_as_float_list(doc["spectrum"], "spectrum"))
-    n = spectrum.shape[0]
-    _require(n >= 1, "spectrum must be non-empty")
-    shift = _as_float(doc["shift"], "shift")
-    e = _rows_from(doc["e"], n, "e")
-    h = (e.T * spectrum) @ e
-    return HermitizedSystem(h, shift, spectrum, e)
 
 
 def model_artifact_to_dict(family: str, params: dict, sys: BiorthogonalSystem, matrices: dict) -> dict:
@@ -209,16 +206,66 @@ def detect_kind(doc) -> str:
     raise SchemaError("unrecognized document: expected a model artifact, a system, or an (h_matrix, theta) pair")
 
 
+def _float_reprs(values) -> map:
+    """``float.__repr__`` of each value, as json writes floats; NaN and +-inf raise ValueError."""
+    if not all(map(math.isfinite, values)):
+        bad = next(v for v in values if not math.isfinite(v))
+        raise ValueError(f"Out of range float values are not JSON compliant: {bad!r}")
+    return map(float.__repr__, values)
+
+
+def _encode(obj, newline: str) -> str:
+    """JSON text of obj whose closing bracket follows ``newline``."""
+    if isinstance(obj, str):
+        return _encode_str(obj)
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    if isinstance(obj, float):
+        (text,) = _float_reprs((obj,))
+        return text
+    inner = newline + "  "
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        items = []
+        for key, value in obj.items():
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            items.append(f"{_encode_str(key)}: {_encode(value, inner)}")
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        if set(map(type, obj)) == {float}:
+            items = _float_reprs(obj)
+        else:
+            items = [_encode(value, inner) for value in obj]
+        return "[" + inner + ("," + inner).join(items) + newline + "]"
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
 def dumps(obj) -> str:
-    return json.dumps(obj, indent=2, allow_nan=False)
+    """``json.dumps(obj, indent=2, allow_nan=False)``, byte for byte, for
+    documents with str keys; NaN and +-inf raise ValueError."""
+    return _encode(obj, "\n")
 
 
 def load_document(path):
-    """Parse a JSON file; malformed JSON raises SchemaError, I/O errors propagate."""
+    """Parse a JSON file; malformed JSON raises SchemaError, I/O errors propagate.
+
+    Malformed covers bad syntax, bytes that are not UTF-8, integer literals
+    over the interpreter's digit limit and nesting beyond the recursion limit.
+    """
     with open(path, "r", encoding="utf-8") as fh:
         try:
             return json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:
             raise SchemaError(f"{path}: not valid JSON ({exc})") from exc
 
 

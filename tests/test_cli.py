@@ -179,6 +179,26 @@ class TestVerifyCommand:
         path.write_text("certainly { not json")
         assert main(["verify", str(path)]) == 3
 
+    @pytest.mark.parametrize(
+        "content",
+        [
+            b'{"n": 1, "eps": [0.0], "phi": [[1.0\xff]], "eta": [[1.0]]}',
+            b'{"n": ' + b"7" * 4301 + b"}",
+            b"[" * 100_000 + b"]" * 100_000,
+            b'{"h_matrix": {"rows": 2, "cols": 2, "data": [1.0, 0.0, 0.0, 1' + b"0" * 400 + b"]}, "
+            b'"theta": {"rows": 2, "cols": 2, "data": [1.0, 0.0, 0.0, 1.0]}}',
+        ],
+        ids=["non-utf8", "int-digit-limit", "deep-nesting", "int-beyond-float"],
+    )
+    def test_unparseable_input_is_parse_error(self, capsys, tmp_path, content):
+        path = tmp_path / "bad.json"
+        path.write_bytes(content)
+        assert main(["verify", str(path)]) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+
     def test_unrecognized_schema(self, capsys, tmp_path):
         path = tmp_path / "odd.json"
         path.write_text('{"foo": 1}')
@@ -288,6 +308,20 @@ class TestConvertCommand:
         path = tmp_path / "degenerate.json"
         serialize.write_document(path, serialize.crypto_to_dict(CryptoPair(np.eye(2), np.eye(2))))
         assert main(["convert", "crypto2nlrpb", str(path)]) == 2
+
+
+class TestJsonOutput:
+    """Written documents and JSON reports are exactly json.dumps(..., indent=2) text."""
+
+    def test_artifact_file_and_convert_report(self, capsys, tmp_path):
+        art = tmp_path / "art.json"
+        assert main(["model", "chebyshev", "--n", "32", "-o", str(art)]) == 0
+        capsys.readouterr()
+        text = art.read_text()
+        assert text == json.dumps(json.loads(text), indent=2) + "\n"
+        assert main(["convert", "nlrpb2crypto", str(art)]) == 0
+        text = capsys.readouterr().out
+        assert text == json.dumps(json.loads(text), indent=2) + "\n"
 
 
 class TestPaperTablesCommand:

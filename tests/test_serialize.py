@@ -1,14 +1,26 @@
 import json
-import os
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nlrpb import serialize
-from nlrpb.cryptoherm import CryptoPair, from_nlrpb, hermitize
+from nlrpb.cryptoherm import CryptoPair, from_nlrpb
 from nlrpb.errors import SchemaError
 from nlrpb.models import chebyshev_model, chebyshev_paper_normalization
 from nlrpb.pseudoboson import build_ladders, build_metrics
+
+
+# An entry that is not a finite number, and the end of the message naming it.
+BAD_ENTRIES = [
+    pytest.param(True, "a number", id="bool"),
+    pytest.param("1.5", "a number", id="str"),
+    pytest.param(None, "a number", id="null"),
+    pytest.param([1.0], "a number", id="list"),
+    pytest.param(10**400, "finite", id="int-beyond-float"),
+]
 
 
 class TestMatrixCodec:
@@ -37,6 +49,24 @@ class TestMatrixCodec:
     def test_bool_is_not_a_number(self):
         with pytest.raises(SchemaError):
             serialize.matrix_from_dict({"rows": 1, "cols": 1, "data": [True]})
+
+    @pytest.mark.parametrize("bad, message", BAD_ENTRIES)
+    def test_bad_entry_names_its_index(self, bad, message):
+        data = [1.0, 2, 3.5, bad, 5.0, 6.0]
+        with pytest.raises(SchemaError, match=rf"^data\[3\] must be {message}$"):
+            serialize.matrix_from_dict({"rows": 2, "cols": 3, "data": data})
+
+    def test_numpy_floats_accepted(self):
+        data = [np.float64(1.5), 2.0, np.float64(-0.25), 4]
+        mat = serialize.matrix_from_dict({"rows": 2, "cols": 2, "data": data})
+        assert mat.dtype == np.float64
+        assert np.array_equal(mat, [[1.5, 2.0], [-0.25, 4.0]])
+
+    def test_bulk_check_matches_entrywise_conversion(self):
+        data = [0, -1, 2**53 + 1, 2**63 + 1, -(2**64), 10**300, 5e-324, -0.0, 1e16]
+        mat = serialize.matrix_from_dict({"rows": 1, "cols": len(data), "data": data})
+        assert mat.ravel().tolist() == [float(v) for v in data]
+        assert math.copysign(1.0, mat[0, 7]) == -1.0
 
     def test_bad_row_count(self):
         with pytest.raises(SchemaError):
@@ -70,6 +100,19 @@ class TestSystemCodec:
         with pytest.raises(SchemaError):
             serialize.system_from_dict(doc)
 
+    @pytest.mark.parametrize("bad, message", BAD_ENTRIES)
+    def test_bad_row_entry_names_its_index(self, bad, message):
+        doc = serialize.system_to_dict(chebyshev_paper_normalization(3))
+        doc["eta"][2][1] = bad
+        with pytest.raises(SchemaError, match=rf"^eta\[2\]\[1\] must be {message}$"):
+            serialize.system_from_dict(doc)
+
+    def test_numpy_float_rows_accepted(self):
+        sys = chebyshev_paper_normalization(2)
+        doc = serialize.system_to_dict(sys)
+        doc["phi"] = [list(row) for row in sys.phi]
+        assert np.array_equal(serialize.system_from_dict(doc).phi, sys.phi)
+
     def test_non_dict(self):
         with pytest.raises(SchemaError):
             serialize.system_from_dict([1, 2, 3])
@@ -90,23 +133,6 @@ class TestCryptoCodec:
         }
         with pytest.raises(SchemaError):
             serialize.crypto_from_dict(doc)
-
-
-class TestHermitizedCodec:
-    def test_roundtrip_reconstructs_h(self):
-        _, sys = chebyshev_model(3)
-        pair = from_nlrpb(sys)
-        hs = hermitize(pair.h_matrix, pair.theta)
-        doc = serialize.hermitized_to_dict(hs)
-        assert set(doc) == {"spectrum", "shift", "e"}
-        back = serialize.hermitized_from_dict(doc)
-        assert back.shift == hs.shift
-        assert np.array_equal(back.spectrum, hs.spectrum)
-        assert np.abs(back.h - hs.h).max() < 1e-13
-
-    def test_missing_shift(self):
-        with pytest.raises(SchemaError):
-            serialize.hermitized_from_dict({"spectrum": [0.0], "e": [[1.0]]})
 
 
 class TestArtifactCodec:
@@ -205,3 +231,46 @@ class TestFileIO:
     def test_dumps_rejects_nan(self):
         with pytest.raises(ValueError):
             serialize.dumps({"x": float("nan")})
+
+
+# json.dumps with indent set is the reference encoder that dumps must match byte for byte.
+_FLOATS = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from([-0.0, 5e-324, 1e16, 1e-7, 1.0])
+_SCALARS = (
+    st.text(alphabet=st.characters(), max_size=8)
+    | st.sampled_from(['"', "\\", "\n", "\x00", "\x1f", "\u00e9", "\u2028", "\U0001f600"])
+    | st.integers() | st.integers(min_value=2**63 - 2, max_value=2**70) | st.integers(max_value=-(2**63))
+    | _FLOATS | st.booleans() | st.none()
+)
+_DOCUMENTS = st.recursive(
+    _SCALARS,
+    lambda children: st.lists(children, max_size=5)
+    | st.lists(_FLOATS, max_size=8)
+    | st.dictionaries(st.text(max_size=6), children, max_size=5),
+    max_leaves=30,
+)
+_NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
+
+
+class TestDumps:
+    @given(_DOCUMENTS)
+    @settings(max_examples=200, deadline=None)
+    def test_matches_json_dumps(self, doc):
+        assert serialize.dumps(doc) == json.dumps(doc, indent=2, allow_nan=False)
+
+    @given(_DOCUMENTS, st.lists(_FLOATS, max_size=6), _NON_FINITE, st.booleans())
+    @settings(max_examples=50, deadline=None)
+    def test_non_finite_float_raises(self, doc, floats, bad, in_float_list):
+        floats.insert(len(floats) // 2, bad)
+        doc = {"doc": doc, "bad": floats if in_float_list else [doc, {"x": bad}]}
+        with pytest.raises(ValueError):
+            json.dumps(doc, indent=2, allow_nan=False)
+        with pytest.raises(ValueError):
+            serialize.dumps(doc)
+
+    def test_tuples_and_float_subclasses(self):
+        doc = {"t": (1.5, 2), "n": [np.float64(0.1), 3.0], "e": [(), {}]}
+        assert serialize.dumps(doc) == json.dumps(doc, indent=2, allow_nan=False)
+
+    def test_unsupported_type_raises(self):
+        with pytest.raises(TypeError):
+            serialize.dumps({"x": np.int64(1)})
