@@ -20,11 +20,9 @@ residual checks.
 from .cryptoherm import (
     CryptoPair,
     HermitizedSystem,
-    factorize_h,
     from_crypto,
     from_nlrpb,
     hermitize,
-    spectral_expansions,
     verify_chwrt,
 )
 from .errors import ConvergenceError, SchemaError, ValidationError
@@ -42,7 +40,6 @@ from .models import (
     ChebyshevSpec,
     TwoParamSpec,
     biorthonormalize,
-    chebyshev_T,
     chebyshev_model,
     chebyshev_nodes,
     chebyshev_paper_normalization,
@@ -84,13 +81,11 @@ __all__ = [
     "build_ladders",
     "build_metrics",
     "build_system",
-    "chebyshev_T",
     "chebyshev_model",
     "chebyshev_nodes",
     "chebyshev_paper_normalization",
     "commutator_defect",
     "default_tolerance",
-    "factorize_h",
     "from_crypto",
     "from_nlrpb",
     "hermitize",
@@ -100,7 +95,6 @@ __all__ = [
     "spd_deficit",
     "spd_inv_sqrt",
     "spd_sqrt",
-    "spectral_expansions",
     "two_param_model",
     "verify_axioms",
     "verify_chwrt",

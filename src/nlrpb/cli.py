@@ -9,11 +9,12 @@ paper-tables  print reference tables for the solvable families
 
 Every command prints a report document (JSON unless paper-tables is
 given ``--format csv|md``) and exits 0 when all checks pass, 1 on
-verification failure, 2 on invalid parameters, 3 on I/O or parse
-errors.  The NLRPB_TOL environment variable sets the default residual
-tolerance; ``verify --tol`` takes precedence.  Positive-definiteness
-gates always keep tolerance 0.  Checks are sorted by name inside every
-section, and file output is written atomically.
+verification failure, 2 on invalid parameters (or when memory runs
+out), 3 on I/O or parse errors.  The NLRPB_TOL environment variable
+sets the default residual tolerance; ``verify --tol`` takes
+precedence.  Positive-definiteness gates always keep tolerance 0.
+Checks are sorted by name inside every section, and file output is
+written atomically.
 """
 
 from __future__ import annotations
@@ -28,17 +29,19 @@ from datetime import datetime, timezone
 import numpy as np
 
 from . import serialize
-from .cryptoherm import from_crypto, from_nlrpb, hermitize, verify_chwrt
+from .cryptoherm import from_crypto, from_nlrpb, hermitize, hermitized_checks
 from .errors import ConvergenceError, SchemaError, ValidationError
-from .linalg import default_tolerance, jacobi_eigh, residual_norm, spd_inv_sqrt, spd_sqrt
+from .linalg import _TINY, jacobi_eigh, residual_norm
 from .models import ChebyshevSpec, TwoParamSpec, chebyshev_model, chebyshev_paper_normalization, two_param_model
 from .pseudoboson import (
-    MIN_EPS_GAP,
     LadderPair,
+    biorthonormality_check,
     build_ladders,
     build_metrics,
     build_system,
-    commutator_defect,
+    commutator_check,
+    eigen_check,
+    eps_structure_check,
     verify_axioms,
 )
 from .report import Check, VerificationReport
@@ -46,8 +49,6 @@ from .report import Check, VerificationReport
 __all__ = ["main"]
 
 ENV_TOL = "NLRPB_TOL"
-
-_TINY = 1e-300
 
 
 @dataclass
@@ -199,40 +200,6 @@ def resolve_tolerance(args):
     return {"value": None, "source": "default"}, None
 
 
-def _commutator_check(system, ladders, tol) -> Check:
-    worst = max(commutator_defect(system, ladders, k) for k in range(system.n - 1))
-    return Check.from_residual(
-        "commutator_gaps", worst, default_tolerance(system.n) if tol is None else tol
-    )
-
-
-def _eigen_check(system, m, tol) -> Check:
-    eps = system.eps[:, None]
-    left = np.linalg.norm(system.phi @ m.T - eps * system.phi, axis=1)
-    right = np.linalg.norm(system.eta @ m - eps * system.eta, axis=1)
-    norms_phi = np.maximum(np.linalg.norm(system.phi, axis=1), _TINY)
-    norms_eta = np.maximum(np.linalg.norm(system.eta, axis=1), _TINY)
-    worst = max(float((left / norms_phi).max()), float((right / norms_eta).max()))
-    return Check.from_residual(
-        "eigen_relations", worst, default_tolerance(system.n) if tol is None else tol
-    )
-
-
-def _eps_structure_check(system) -> Check:
-    deficit = max(0.0, abs(float(system.eps[0])) - 1e-12)
-    if system.n > 1:
-        smallest_gap = float(np.diff(system.eps).min())
-        deficit = max(deficit, MIN_EPS_GAP - smallest_gap)
-    return Check.from_residual("eps_structure", max(0.0, deficit), 0.0)
-
-
-def _biorth_check(system, tol) -> Check:
-    dev = float(np.abs(system.phi @ system.eta.T - np.eye(system.n)).max())
-    return Check.from_residual(
-        "p3_biorthonormality", dev, default_tolerance(system.n) if tol is None else tol
-    )
-
-
 def _metric_scalars(system) -> Section:
     lam = jacobi_eigh(build_metrics(system).s_eta).eigenvalues
     lam_min = float(lam[0])
@@ -272,8 +239,8 @@ def _cmd_model(args) -> int:
 
     metrics = build_metrics(system)
     checks = list(verify_axioms(system, ladders, tol).checks)
-    checks.append(_commutator_check(system, ladders, tol))
-    checks.append(_eigen_check(system, m, tol))
+    checks.append(commutator_check(system, ladders, tol))
+    checks.append(eigen_check(system, m, tol))
     sections = [
         spectrum_section("spectrum", system.eps),
         _metric_scalars(system),
@@ -292,35 +259,17 @@ def _cmd_model(args) -> int:
     return 0 if doc.passed else 1
 
 
-def _pair_checks(pair, tol):
-    """Checks plus extra sections for an (h_matrix, theta) document."""
-    checks = list(verify_chwrt(pair.h_matrix, pair.theta, tol).checks)
-    sections = []
-    if all(c.passed for c in checks):
-        n = pair.h_matrix.shape[0]
-        tol_eff = default_tolerance(n) if tol is None else tol
-        raw = spd_sqrt(pair.theta) @ pair.h_matrix @ spd_inv_sqrt(pair.theta)
-        asym = residual_norm(raw, raw.T) / max(float(np.linalg.norm(raw)), 1.0)
-        checks.append(Check.from_residual("hermitized_symmetry", asym, tol_eff))
-        lam = jacobi_eigh((raw + raw.T) / 2.0).eigenvalues
-        gap_deficit = 0.0
-        if n > 1:
-            gap_deficit = max(0.0, MIN_EPS_GAP - float(np.diff(lam).min()))
-        checks.append(Check.from_residual("spectrum_min_gap", gap_deficit, 0.0))
-        sections.append(spectrum_section("hermitized spectrum (shifted)", lam - lam[0]))
-        sections.append(scalars_section("hermitized", {"shift": float(lam[0])}))
-    return checks, sections
-
-
 def _cmd_verify(args) -> int:
     meta, tol = resolve_tolerance(args)
     doc_in = serialize.load_document(args.path)
     kind = serialize.detect_kind(doc_in)
-    sections = []
     if kind == "pair":
         pair = serialize.crypto_from_dict(doc_in)
-        checks, extra = _pair_checks(pair, tol)
-        sections = [checks_section("cryptohermiticity", checks)] + extra
+        checks, hs = hermitized_checks(pair.h_matrix, pair.theta, tol)
+        sections = [checks_section("cryptohermiticity", checks)]
+        if hs is not None:
+            sections.append(spectrum_section("hermitized spectrum (shifted)", hs.spectrum))
+            sections.append(scalars_section("hermitized", {"shift": hs.shift}))
     else:
         if kind == "artifact":
             _, _, system, mats = serialize.model_artifact_from_dict(doc_in)
@@ -330,18 +279,18 @@ def _cmd_verify(args) -> int:
             system = serialize.system_from_dict(doc_in)
             ladders = None
             m = None
-        checks = [_eps_structure_check(system)]
+        checks = [eps_structure_check(system)]
         if checks[0].passed:
             if ladders is None:
                 # no stored operators: reconstruct the ladders from the data
                 ladders = build_ladders(system)
             checks.extend(verify_axioms(system, ladders, tol).checks)
-            checks.append(_commutator_check(system, ladders, tol))
+            checks.append(commutator_check(system, ladders, tol))
             if m is not None:
-                checks.append(_eigen_check(system, m, tol))
+                checks.append(eigen_check(system, m, tol))
         else:
             # sqrt(eps) would be meaningless; only data-level checks remain
-            checks.append(_biorth_check(system, tol))
+            checks.append(biorthonormality_check(system, tol))
         sections = [checks_section("axioms", checks), spectrum_section("spectrum", system.eps)]
     doc = ReportDocument("verify", meta, sections)
     print(render(doc, "json"), end="")
@@ -587,6 +536,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=_sys.stderr)
         return 3
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=_sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

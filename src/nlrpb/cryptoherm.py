@@ -11,10 +11,15 @@ representations convert into each other:
   eps = lam - lam.min().
 * ``from_nlrpb``: a system gives back H = b a and Theta = S_eta.
 
-``hermitize`` stores the spectrum shifted so its minimum is exactly
-zero, recording the shift, which keeps the stored matrix consistent
-with h e_n = spectrum[n] e_n while the original operator is recovered
-as h + shift I.
+``hermitized_checks`` is the one home of the pair's rules: it reports
+``verify_chwrt``'s checks and, when those pass, builds h and adds
+``hermitized_symmetry`` (||h - h^T|| relative to max(||h||, 1)) and
+``spectrum_min_gap`` (every eigenvalue gap at least MIN_EPS_GAP).
+``hermitize`` raises on the first of those checks that fails.  It
+stores the spectrum shifted so its minimum is exactly zero, recording
+the shift, which keeps the stored matrix consistent with
+h e_n = spectrum[n] e_n while the original operator is recovered as
+h + shift I.
 """
 
 from __future__ import annotations
@@ -25,37 +30,38 @@ import numpy as np
 
 from .errors import ValidationError
 from .linalg import (
+    _TINY,
     as_matrix,
-    default_tolerance,
+    as_square_pair,
+    effective_tolerance,
+    freeze,
     jacobi_eigh,
     residual_norm,
     spd_deficit,
     spd_inv_sqrt,
     spd_sqrt,
 )
-from .pseudoboson import (
-    MIN_EPS_GAP,
-    BiorthogonalSystem,
-    LadderPair,
-    build_ladders,
-    build_metrics,
-    build_system,
-)
-from .report import Check, VerificationReport
+from .pseudoboson import MIN_EPS_GAP, BiorthogonalSystem, build_ladders, build_metrics, build_system, gap_deficit
+from .report import Check, VerificationReport, raise_first_failure
 
 __all__ = [
     "CryptoPair",
     "HermitizedSystem",
-    "factorize_h",
     "from_crypto",
     "from_nlrpb",
     "hermitize",
-    "spectral_expansions",
+    "hermitized_checks",
     "verify_chwrt",
 ]
 
-_TINY = 1e-300
 _METRIC_SYM_RTOL = 1e-12
+
+_HERMITIZE_FAILURES = {
+    "cryptohermiticity": "pair is not cryptohermitian",
+    "metric_spd": "pair is not cryptohermitian",
+    "hermitized_symmetry": "transform asymmetric; the metric does not hermitize the operator",
+    "spectrum_min_gap": f"degenerate spectrum, an eigenvalue gap below {MIN_EPS_GAP:g}",
+}
 
 
 @dataclass(frozen=True)
@@ -66,16 +72,8 @@ class CryptoPair:
     theta: np.ndarray
 
     def __post_init__(self):
-        h = as_matrix(self.h_matrix, "h_matrix")
-        t = as_matrix(self.theta, "theta")
-        if h.shape[0] != h.shape[1] or h.shape != t.shape:
-            raise ValidationError(
-                f"crypto pair: need square matrices of equal size, got {h.shape} and {t.shape}"
-            )
-        h.setflags(write=False)
-        t.setflags(write=False)
-        object.__setattr__(self, "h_matrix", h)
-        object.__setattr__(self, "theta", t)
+        h, t = as_square_pair("crypto pair", self.h_matrix, self.theta, ("h_matrix", "theta"))
+        freeze(self, h_matrix=h, theta=t)
 
 
 @dataclass(frozen=True)
@@ -100,13 +98,7 @@ class HermitizedSystem:
         n = h.shape[0]
         if h.shape != (n, n) or e.shape != (n, n) or spectrum.shape != (n,):
             raise ValidationError("hermitized system: inconsistent field shapes")
-        h.setflags(write=False)
-        spectrum.setflags(write=False)
-        e.setflags(write=False)
-        object.__setattr__(self, "h", h)
-        object.__setattr__(self, "spectrum", spectrum)
-        object.__setattr__(self, "e", e)
-        object.__setattr__(self, "shift", float(self.shift))
+        freeze(self, h=h, shift=float(self.shift), spectrum=spectrum, e=e)
 
 
 def verify_chwrt(h_matrix, theta, tolerance=None) -> VerificationReport:
@@ -115,14 +107,9 @@ def verify_chwrt(h_matrix, theta, tolerance=None) -> VerificationReport:
     The cryptohermiticity residual is relative to ||Theta H||_F; the
     metric entry is a positive-definiteness deficit with tolerance 0.
     """
-    h = as_matrix(h_matrix, "h_matrix")
-    t = as_matrix(theta, "theta")
-    if h.shape[0] != h.shape[1]:
-        raise ValidationError(f"verify_chwrt: h_matrix must be square, got {h.shape}")
-    if t.shape != h.shape:
-        raise ValidationError(f"verify_chwrt: dimension mismatch {h.shape} vs {t.shape}")
-    n = h.shape[0]
-    tol = default_tolerance(n) if tolerance is None else float(tolerance)
+    pair = CryptoPair(h_matrix, theta)
+    h, t = pair.h_matrix, pair.theta
+    tol = effective_tolerance(h.shape[0], tolerance)
 
     sym_defect = max(0.0, residual_norm(t, t.T) - _METRIC_SYM_RTOL * max(float(np.linalg.norm(t)), 1.0))
     lam = jacobi_eigh((t + t.T) / 2.0).eigenvalues
@@ -139,42 +126,43 @@ def verify_chwrt(h_matrix, theta, tolerance=None) -> VerificationReport:
     )
 
 
-def hermitize(h_matrix, theta, tolerance=None) -> HermitizedSystem:
-    """Similarity-transform to the symmetric representative and diagonalize.
+def hermitized_checks(h_matrix, theta, tolerance=None):
+    """(checks, HermitizedSystem or None) for the pair (H, Theta).
 
-    Fails when the pair is not cryptohermitian, when the transform stays
-    asymmetric beyond tolerance (a false metric), or when the spectrum
-    has a gap at or below MIN_EPS_GAP (degeneracy).
+    The checks are ``verify_chwrt``'s; when they pass, h = Theta^{1/2} H
+    Theta^{-1/2} is built, diagonalized and ``hermitized_symmetry`` and
+    ``spectrum_min_gap`` are added.  The HermitizedSystem is None only when
+    ``verify_chwrt`` fails; it is returned even when a later check fails,
+    so a report can show the spectrum it judged.
     """
     rep = verify_chwrt(h_matrix, theta, tolerance)
     if not rep.passed:
-        worst = max(rep.checks, key=lambda c: (not c.passed, c.residual))
-        raise ValidationError(
-            f"hermitize: pair is not cryptohermitian "
-            f"({worst.name} residual {worst.residual:.3e} > {worst.tolerance:g})"
-        )
-    h = as_matrix(h_matrix, "h_matrix")
-    t = as_matrix(theta, "theta")
+        return list(rep.checks), None
+    h = np.asarray(h_matrix, dtype=float)  # verify_chwrt has validated both
+    t = np.asarray(theta, dtype=float)
+    checks = list(rep.checks)
     n = h.shape[0]
-    tol = default_tolerance(n) if tolerance is None else float(tolerance)
     raw = spd_sqrt(t) @ h @ spd_inv_sqrt(t)
-    asym = residual_norm(raw, raw.T)
-    if asym > tol * max(float(np.linalg.norm(raw)), 1.0):
-        raise ValidationError(
-            f"hermitize: transform asymmetric ({asym:.3e}); the metric does not hermitize the operator"
-        )
+    asym = residual_norm(raw, raw.T) / max(float(np.linalg.norm(raw)), 1.0)
     sym = (raw + raw.T) / 2.0
     eig = jacobi_eigh(sym)
     lam = eig.eigenvalues
-    if n > 1:
-        gap = float(np.diff(lam).min())
-        if gap <= MIN_EPS_GAP:
-            raise ValidationError(
-                f"hermitize: degenerate spectrum, smallest eigenvalue gap {gap:.3e} <= {MIN_EPS_GAP:g}"
-            )
+    checks.append(Check.from_residual("hermitized_symmetry", asym, effective_tolerance(n, tolerance)))
+    checks.append(Check.from_residual("spectrum_min_gap", gap_deficit(lam), 0.0))
     shift = float(lam[0])
-    spectrum = lam - shift
-    return HermitizedSystem(sym - shift * np.eye(n), shift, spectrum, eig.eigenvectors.T.copy())
+    return checks, HermitizedSystem(sym - shift * np.eye(n), shift, lam - shift, eig.eigenvectors.T.copy())
+
+
+def hermitize(h_matrix, theta, tolerance=None) -> HermitizedSystem:
+    """Similarity-transform to the symmetric representative and diagonalize.
+
+    Raises on the first failed ``hermitized_checks`` check: the pair is
+    not cryptohermitian, the transform stays asymmetric (a false metric),
+    or an eigenvalue gap is below MIN_EPS_GAP (degeneracy).
+    """
+    checks, hs = hermitized_checks(h_matrix, theta, tolerance)
+    raise_first_failure("hermitize", checks, _HERMITIZE_FAILURES)
+    return hs
 
 
 def from_crypto(h_matrix, theta, tolerance=None):
@@ -184,9 +172,8 @@ def from_crypto(h_matrix, theta, tolerance=None):
     which are biorthonormal by the orthonormality of the e_n.
     """
     hs = hermitize(h_matrix, theta, tolerance)
-    t = as_matrix(theta, "theta")
-    phi = hs.e @ spd_inv_sqrt(t)
-    eta = hs.e @ spd_sqrt(t)
+    phi = hs.e @ spd_inv_sqrt(theta)
+    eta = hs.e @ spd_sqrt(theta)
     sys = build_system(phi, eta, hs.spectrum, tolerance)
     return sys, build_ladders(sys)
 
@@ -200,34 +187,3 @@ def from_nlrpb(sys: BiorthogonalSystem) -> CryptoPair:
     if not rep.passed:
         raise ValidationError("from_nlrpb: constructed pair failed cryptohermiticity; system data inconsistent")
     return pair
-
-
-def factorize_h(sys: BiorthogonalSystem, ladders: LadderPair, theta):
-    """Similarity-transformed ladders (a_t, b_t) with b_t a_t = h.
-
-    a_t = Theta^{1/2} a Theta^{-1/2} and likewise for b; generally
-    b_t != a_t^T even though their product is symmetric.
-    """
-    t = as_matrix(theta, "theta")
-    n = sys.n
-    if t.shape != (n, n) or ladders.a.shape != (n, n):
-        raise ValidationError("factorize_h: dimensions of system, ladders and theta must agree")
-    sq = spd_sqrt(t)
-    isq = spd_inv_sqrt(t)
-    return sq @ ladders.a @ isq, sq @ ladders.b @ isq
-
-
-def spectral_expansions(sys: BiorthogonalSystem):
-    """Rank-one expansions (H, H^T form, symmetric h).
-
-    H = sum eps[n] |phi_n><eta_n|, its transpose partner
-    sum eps[n] |eta_n><phi_n|, and h = sum spectrum[n] |e_n><e_n| with
-    the e_n taken from hermitizing (b a, S_eta).  All three are
-    isospectral.
-    """
-    h_op = (sys.phi.T * sys.eps) @ sys.eta
-    h_dag = (sys.eta.T * sys.eps) @ sys.phi
-    pair = from_nlrpb(sys)
-    hs = hermitize(pair.h_matrix, pair.theta)
-    h_sym = (hs.e.T * hs.spectrum) @ hs.e
-    return h_op, h_dag, h_sym

@@ -24,8 +24,11 @@ __all__ = [
     "SPD_GATE",
     "SymEig",
     "as_matrix",
+    "as_square_pair",
     "as_vector",
     "default_tolerance",
+    "effective_tolerance",
+    "freeze",
     "jacobi_eigh",
     "residual_norm",
     "spd_deficit",
@@ -39,17 +42,30 @@ SPD_GATE = 1e-12
 
 _SYM_RTOL = 1e-12
 _SIGN_CUTOFF = 1e-12
+_TINY = 1e-300  # floor for norms used as divisors
 
 
-def default_tolerance(n: int, scale: float = 1.0) -> float:
+def default_tolerance(n: int) -> float:
     """Default absolute residual tolerance for size-``n`` problems.
 
-    Flat 1e-10 up to n = 16; above that it grows as ``n * 1e-12 * scale``
-    so checks track both dimension and data magnitude.
+    Flat 1e-10 up to n = 16; above that it grows as ``n * 1e-12``.
     """
     if n <= 16:
         return 1e-10
-    return n * 1e-12 * scale
+    return n * 1e-12
+
+
+def effective_tolerance(n: int, tolerance=None) -> float:
+    """``tolerance`` when given, else ``default_tolerance(n)``."""
+    return default_tolerance(n) if tolerance is None else float(tolerance)
+
+
+def freeze(obj, **fields) -> None:
+    """Set ``fields`` on a frozen dataclass instance; array values become read-only."""
+    for name, value in fields.items():
+        if isinstance(value, np.ndarray):
+            value.setflags(write=False)
+        object.__setattr__(obj, name, value)
 
 
 def as_matrix(value, name: str = "matrix") -> np.ndarray:
@@ -60,6 +76,15 @@ def as_matrix(value, name: str = "matrix") -> np.ndarray:
     if not np.all(np.isfinite(arr)):
         raise ValidationError(f"{name}: entries must be finite")
     return arr
+
+
+def as_square_pair(what: str, x, y, names: tuple) -> tuple:
+    """Coerce two matrices (named ``names``) that must be square and of equal size."""
+    x = as_matrix(x, names[0])
+    y = as_matrix(y, names[1])
+    if x.shape[0] != x.shape[1] or x.shape != y.shape:
+        raise ValidationError(f"{what}: need square matrices of equal size, got {x.shape}/{y.shape}")
+    return x, y
 
 
 def as_vector(value, name: str = "vector") -> np.ndarray:
@@ -96,8 +121,7 @@ class SymEig:
     eigenvectors: np.ndarray
 
     def __post_init__(self):
-        self.eigenvalues.setflags(write=False)
-        self.eigenvectors.setflags(write=False)
+        freeze(self, eigenvalues=self.eigenvalues, eigenvectors=self.eigenvectors)
 
 
 def _fix_signs(vecs: np.ndarray) -> None:
@@ -147,7 +171,8 @@ def spd_deficit(eigenvalues) -> float:
     return max(0.0, SPD_GATE * lam_max - lam_min)
 
 
-def _spd_decomposition(a, name: str) -> SymEig:
+def _spd_root(a, name: str, scale) -> np.ndarray:
+    """V scale(V, sqrt(lambda)) V^T, symmetrized, after the SPD gate on lambda."""
     eig = jacobi_eigh(a)
     lam = eig.eigenvalues
     if spd_deficit(lam) > 0.0:
@@ -155,20 +180,16 @@ def _spd_decomposition(a, name: str) -> SymEig:
             f"{name}: matrix is not positive definite "
             f"(smallest eigenvalue {float(lam[0]):.6e}, largest {float(lam[-1]):.6e})"
         )
-    return eig
+    v = eig.eigenvectors
+    r = scale(v, np.sqrt(lam)) @ v.T
+    return (r + r.T) / 2.0
 
 
 def spd_sqrt(a) -> np.ndarray:
     """Symmetric square root V diag(sqrt(lambda)) V^T of an SPD matrix."""
-    eig = _spd_decomposition(a, "spd_sqrt")
-    v = eig.eigenvectors
-    r = (v * np.sqrt(eig.eigenvalues)) @ v.T
-    return (r + r.T) / 2.0
+    return _spd_root(a, "spd_sqrt", np.multiply)
 
 
 def spd_inv_sqrt(a) -> np.ndarray:
     """Symmetric inverse square root V diag(1/sqrt(lambda)) V^T."""
-    eig = _spd_decomposition(a, "spd_inv_sqrt")
-    v = eig.eigenvectors
-    r = (v / np.sqrt(eig.eigenvalues)) @ v.T
-    return (r + r.T) / 2.0
+    return _spd_root(a, "spd_inv_sqrt", np.divide)

@@ -32,39 +32,23 @@ matrices used in the golden tests.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ValidationError
-from .linalg import as_matrix, default_tolerance
+from .linalg import _TINY, as_matrix, default_tolerance, freeze
 from .pseudoboson import BiorthogonalSystem, build_system
 
 __all__ = [
     "ChebyshevSpec",
     "TwoParamSpec",
     "biorthonormalize",
-    "chebyshev_T",
     "chebyshev_model",
     "chebyshev_nodes",
     "chebyshev_paper_normalization",
     "two_param_model",
 ]
-
-_TINY = 1e-300
-
-
-def chebyshev_T(k: int, x: float) -> float:
-    """T_k(x) by the three-term recurrence T_{k+1} = 2x T_k - T_{k-1}."""
-    if k < 0:
-        raise ValidationError(f"chebyshev_T: k must be >= 0, got {k}")
-    if k == 0:
-        return 1.0
-    prev, cur = 1.0, float(x)
-    for _ in range(k - 1):
-        prev, cur = cur, 2.0 * float(x) * cur - prev
-    return cur
-
 
 def chebyshev_nodes(n: int) -> np.ndarray:
     """Roots of T_n in ascending order: x_j = -cos((j + 1/2) pi / n)."""
@@ -75,10 +59,10 @@ def chebyshev_nodes(n: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ChebyshevSpec:
-    """Size and spectral shift of the Chebyshev family."""
+    """Size of the Chebyshev family and its shift Z = -2 cos((N - 1/2) pi / N) > 0."""
 
     n: int
-    z: float = None
+    z: float = field(init=False)
 
     def __post_init__(self):
         try:
@@ -87,18 +71,7 @@ class ChebyshevSpec:
             raise ValidationError(f"chebyshev family: size must be an integer, got {self.n!r}") from None
         if n != self.n or n < 2:
             raise ValidationError(f"chebyshev family: size must be an integer >= 2, got {self.n!r}")
-        object.__setattr__(self, "n", n)
-        zref = float(-2.0 * np.cos((n - 0.5) * np.pi / n))
-        if self.z is None:
-            object.__setattr__(self, "z", zref)
-        elif abs(float(self.z) - zref) > 1e-12:
-            raise ValidationError(
-                f"chebyshev family: shift z = {self.z!r} does not match -2 cos((n - 1/2) pi / n) = {zref!r}"
-            )
-        else:
-            object.__setattr__(self, "z", float(self.z))
-        if self.z <= 0.0:
-            raise ValidationError("chebyshev family: shift must be positive")
+        freeze(self, n=n, z=float(-2.0 * np.cos((n - 0.5) * np.pi / n)))
 
 
 @dataclass(frozen=True)
@@ -149,8 +122,7 @@ class TwoParamSpec:
             raise ValidationError(
                 f"two-param family: y*w*(beta-delta) must equal 1, got {y * w * (beta - delta)!r}"
             )
-        for name, val in (("beta", beta), ("delta", delta), ("y", y), ("w", w)):
-            object.__setattr__(self, name, val)
+        freeze(self, beta=beta, delta=delta, y=y, w=w)
 
     @property
     def eps1(self) -> float:
@@ -179,10 +151,10 @@ def two_param_model(beta, delta, y=None, w=None):
     return a_mat, b_mat, sys
 
 
-def biorthonormalize(phi_raw, eta_raw, tolerance=None):
+def biorthonormalize(phi_raw, eta_raw):
     """Scale phi rows by 1 / <eta_n, phi_raw_n>; eta rows pass through.
 
-    Off-diagonal pairings must already vanish (within tolerance,
+    Off-diagonal pairings must already vanish (within default_tolerance(N),
     relative to the largest pairing); a vanishing diagonal pairing means
     the input cannot be biorthonormalized.
     """
@@ -202,8 +174,7 @@ def biorthonormalize(phi_raw, eta_raw, tolerance=None):
             f"biorthonormalize: vanishing diagonal pairing at level {int(np.argmax(vanishing))}"
         )
     off = float(np.abs(gram - np.diag(diag)).max()) if n > 1 else 0.0
-    tol = default_tolerance(n) if tolerance is None else float(tolerance)
-    if off > tol * max(1.0, float(np.abs(diag).max())):
+    if off > default_tolerance(n) * max(1.0, float(np.abs(diag).max())):
         raise ValidationError(f"biorthonormalize: off-diagonal pairing {off:.3e} is not negligible")
     return phi_raw / diag[:, None], eta_raw.copy()
 

@@ -22,6 +22,14 @@ inverse.  ``verify_axioms`` reports on the five defining properties:
 The truncation closes the ladder at the top: ``b`` annihilates
 ``phi[N-1]``, so ladder and commutator identities hold for levels
 n <= N-2 only, and ``commutator_defect`` rejects the top level.
+
+Each rule on the data is one function returning a ``Check``:
+``eps_structure_check`` (eps[0] = 0 within 1e-12, every gap at least
+MIN_EPS_GAP), ``biorthonormality_check``, ``eigen_check`` (phi and eta
+as right and left eigenvectors of a given operator) and
+``commutator_check``.  ``build_system`` raises on the first two, and
+reports call the same functions, so a builder and a report cannot
+disagree on a verdict.
 """
 
 from __future__ import annotations
@@ -31,27 +39,37 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .linalg import as_matrix, as_vector, default_tolerance, jacobi_eigh, spd_deficit
-from .report import Check, VerificationReport
+from .linalg import _TINY, as_square_pair, as_vector, effective_tolerance, freeze, jacobi_eigh, spd_deficit
+from .report import Check, VerificationReport, raise_first_failure
 
 __all__ = [
     "MIN_EPS_GAP",
     "BiorthogonalSystem",
     "LadderPair",
     "MetricPair",
+    "biorthonormality_check",
     "build_ladders",
     "build_metrics",
     "build_system",
+    "commutator_check",
     "commutator_defect",
+    "eigen_check",
+    "eps_structure_check",
+    "gap_deficit",
     "rescale",
     "verify_axioms",
 ]
 
-#: Smallest admissible gap between consecutive eps values (simple spectrum).
+#: Smallest admissible gap between consecutive eps values (simple spectrum);
+#: a gap equal to it is admissible.
 MIN_EPS_GAP = 1e-10
 
 _EPS0_TOL = 1e-12
-_TINY = 1e-300
+
+_BUILD_FAILURES = {
+    "eps_structure": f"eps must start at eps[0] = 0 and increase strictly with gaps of at least {MIN_EPS_GAP:g}",
+    "p3_biorthonormality": "biorthonormality violated, max |<phi_n, eta_m> - delta_nm| too large",
+}
 
 
 @dataclass(frozen=True)
@@ -71,17 +89,10 @@ class BiorthogonalSystem:
 
     def __post_init__(self):
         eps = as_vector(self.eps, "eps")
-        phi = as_matrix(self.phi, "phi")
-        eta = as_matrix(self.eta, "eta")
-        if self.n != eps.shape[0]:
-            raise ValidationError(f"system: n = {self.n} but eps has {eps.shape[0]} entries")
-        if phi.shape != (self.n, self.n) or eta.shape != (self.n, self.n):
-            raise ValidationError(
-                f"system: basis shapes {phi.shape}/{eta.shape} do not match n = {self.n}"
-            )
-        for name, arr in (("eps", eps), ("phi", phi), ("eta", eta)):
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+        phi, eta = as_square_pair("system", self.phi, self.eta, ("phi", "eta"))
+        if not self.n == eps.shape[0] == phi.shape[0]:
+            raise ValidationError(f"system: n = {self.n} but eps has {eps.shape[0]} entries, bases {phi.shape}")
+        freeze(self, eps=eps, phi=phi, eta=eta)
 
 
 @dataclass(frozen=True)
@@ -92,14 +103,8 @@ class LadderPair:
     b: np.ndarray
 
     def __post_init__(self):
-        a = as_matrix(self.a, "a")
-        b = as_matrix(self.b, "b")
-        if a.shape[0] != a.shape[1] or a.shape != b.shape:
-            raise ValidationError(f"ladders: need square matrices of equal size, got {a.shape}/{b.shape}")
-        a.setflags(write=False)
-        b.setflags(write=False)
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
+        a, b = as_square_pair("ladders", self.a, self.b, ("a", "b"))
+        freeze(self, a=a, b=b)
 
 
 @dataclass(frozen=True)
@@ -110,49 +115,41 @@ class MetricPair:
     s_eta: np.ndarray
 
     def __post_init__(self):
-        s_phi = as_matrix(self.s_phi, "s_phi")
-        s_eta = as_matrix(self.s_eta, "s_eta")
-        if s_phi.shape[0] != s_phi.shape[1] or s_phi.shape != s_eta.shape:
-            raise ValidationError(
-                f"metrics: need square matrices of equal size, got {s_phi.shape}/{s_eta.shape}"
-            )
-        s_phi.setflags(write=False)
-        s_eta.setflags(write=False)
-        object.__setattr__(self, "s_phi", s_phi)
-        object.__setattr__(self, "s_eta", s_eta)
+        s_phi, s_eta = as_square_pair("metrics", self.s_phi, self.s_eta, ("s_phi", "s_eta"))
+        freeze(self, s_phi=s_phi, s_eta=s_eta)
+
+
+def gap_deficit(values) -> float:
+    """How far the smallest gap between consecutive ``values`` falls below
+    MIN_EPS_GAP; 0.0 when every gap is admissible (or there is one value)."""
+    if len(values) < 2:
+        return 0.0
+    return max(0.0, MIN_EPS_GAP - float(np.diff(values).min()))
+
+
+def eps_structure_check(sys: BiorthogonalSystem) -> Check:
+    """``eps_structure``: |eps[0]| <= 1e-12 and every gap >= MIN_EPS_GAP (tolerance 0)."""
+    deficit = max(0.0, abs(float(sys.eps[0])) - _EPS0_TOL, gap_deficit(sys.eps))
+    return Check.from_residual("eps_structure", deficit, 0.0)
+
+
+def biorthonormality_check(sys: BiorthogonalSystem, tolerance=None) -> Check:
+    """``p3_biorthonormality``: max |<phi_n, eta_m> - delta_nm|."""
+    dev = float(np.abs(sys.phi @ sys.eta.T - np.eye(sys.n)).max())
+    return Check.from_residual("p3_biorthonormality", dev, effective_tolerance(sys.n, tolerance))
 
 
 def build_system(phi, eta, eps, tolerance=None) -> BiorthogonalSystem:
     """Validate and freeze a biorthogonal system.
 
-    Requires eps[0] = 0 within 1e-12, strictly increasing eps with gaps
-    above MIN_EPS_GAP, and max |<phi_n, eta_m> - delta_nm| within
-    tolerance (default_tolerance(N) when not given).
+    Raises unless ``eps_structure_check`` and ``biorthonormality_check``
+    pass (tolerance default_tolerance(N) when not given).
     """
     eps = as_vector(eps, "eps")
-    phi = as_matrix(phi, "phi")
-    eta = as_matrix(eta, "eta")
-    n = eps.shape[0]
-    if phi.shape != (n, n) or eta.shape != (n, n):
-        raise ValidationError(
-            f"build_system: need {n} vectors of dimension {n}; got phi {phi.shape}, eta {eta.shape}"
-        )
-    if abs(eps[0]) > _EPS0_TOL:
-        raise ValidationError(f"build_system: eps[0] must be 0, got {float(eps[0])!r}")
-    if n > 1:
-        smallest_gap = float(np.diff(eps).min())
-        if smallest_gap <= MIN_EPS_GAP:
-            raise ValidationError(
-                "build_system: eps must increase strictly with gaps above "
-                f"{MIN_EPS_GAP:g}; smallest gap {smallest_gap:g}"
-            )
-    tol = default_tolerance(n) if tolerance is None else float(tolerance)
-    dev = float(np.abs(phi @ eta.T - np.eye(n)).max())
-    if dev > tol:
-        raise ValidationError(
-            f"build_system: biorthonormality violated, max |<phi_n, eta_m> - delta_nm| = {dev:.3e} > {tol:g}"
-        )
-    return BiorthogonalSystem(n, eps, phi, eta)
+    sys = BiorthogonalSystem(eps.shape[0], eps, phi, eta)
+    checks = (eps_structure_check(sys), biorthonormality_check(sys, tolerance))
+    raise_first_failure("build_system", checks, _BUILD_FAILURES)
+    return sys
 
 
 def build_ladders(sys: BiorthogonalSystem) -> LadderPair:
@@ -184,7 +181,7 @@ def verify_axioms(sys: BiorthogonalSystem, ladders: LadderPair, tolerance=None) 
     n = sys.n
     if ladders.a.shape != (n, n):
         raise ValidationError(f"verify_axioms: ladder shape {ladders.a.shape} does not match n = {n}")
-    tol = default_tolerance(n) if tolerance is None else float(tolerance)
+    tol = effective_tolerance(n, tolerance)
     phi, eta, eps = sys.phi, sys.eta, sys.eps
     a, b = ladders.a, ladders.b
     nphi = _row_norms(phi)
@@ -218,7 +215,7 @@ def verify_axioms(sys: BiorthogonalSystem, ladders: LadderPair, tolerance=None) 
     checks = (
         Check.from_residual("p1_vacuum_phi", p1, tol),
         Check.from_residual("p2_vacuum_eta", p2, tol),
-        Check.from_residual("p3_biorthonormality", float(np.abs(phi @ eta.T - eye).max()), tol),
+        biorthonormality_check(sys, tol),
         Check.from_residual("p3_ladder_relations", max(ladder_residuals), tol),
         Check.from_residual("p4_resolution_of_identity", float(np.linalg.norm(phi.T @ eta - eye)), tol),
         Check.from_residual("p5_frame_bounds", max(deficits), 0.0),
@@ -245,6 +242,22 @@ def commutator_defect(sys: BiorthogonalSystem, ladders: LadderPair, n: int) -> f
     phi_n = sys.phi[n]
     res = comm @ phi_n - gap * phi_n
     return float(np.linalg.norm(res) / max(np.linalg.norm(phi_n), _TINY))
+
+
+def commutator_check(sys: BiorthogonalSystem, ladders: LadderPair, tolerance=None) -> Check:
+    """``commutator_gaps``: the worst ``commutator_defect`` over levels 0..N-2 (0.0 when N = 1)."""
+    worst = max((commutator_defect(sys, ladders, k) for k in range(sys.n - 1)), default=0.0)
+    return Check.from_residual("commutator_gaps", worst, effective_tolerance(sys.n, tolerance))
+
+
+def eigen_check(sys: BiorthogonalSystem, m, tolerance=None) -> Check:
+    """``eigen_relations``: m phi_n = eps[n] phi_n and m^T eta_n = eps[n] eta_n,
+    relative to the norms of the vectors."""
+    eps = sys.eps[:, None]
+    left = np.linalg.norm(sys.phi @ m.T - eps * sys.phi, axis=1) / _row_norms(sys.phi)
+    right = np.linalg.norm(sys.eta @ m - eps * sys.eta, axis=1) / _row_norms(sys.eta)
+    worst = max(float(left.max()), float(right.max()))
+    return Check.from_residual("eigen_relations", worst, effective_tolerance(sys.n, tolerance))
 
 
 def rescale(sys: BiorthogonalSystem, nu) -> BiorthogonalSystem:

@@ -5,7 +5,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-__all__ = ["Check", "VerificationReport"]
+from .errors import ValidationError
+
+__all__ = ["Check", "VerificationReport", "raise_first_failure"]
 
 
 @dataclass(frozen=True)
@@ -54,3 +56,15 @@ class VerificationReport:
 
     def to_dict(self) -> dict:
         return {"checks": [c.to_dict() for c in self.checks], "pass": self.passed}
+
+
+def raise_first_failure(where: str, checks, reasons: dict) -> None:
+    """Raise ValidationError for the first failed check, led by ``reasons[check.name]``.
+
+    This is how a builder enforces the same checks that a report prints.
+    """
+    for c in checks:
+        if not c.passed:
+            raise ValidationError(
+                f"{where}: {reasons[c.name]} ({c.name} residual {c.residual:.3e} > {c.tolerance:g})"
+            )

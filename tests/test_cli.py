@@ -9,8 +9,10 @@ import pytest
 
 from nlrpb import serialize
 from nlrpb.cli import main
-from nlrpb.cryptoherm import CryptoPair
+from nlrpb.cryptoherm import CryptoPair, from_nlrpb, hermitize
+from nlrpb.errors import ValidationError
 from nlrpb.models import chebyshev_model, chebyshev_paper_normalization
+from nlrpb.pseudoboson import MIN_EPS_GAP, build_system
 
 
 @pytest.fixture(autouse=True)
@@ -93,6 +95,18 @@ class TestModelCommand:
     def test_missing_delta_invalid(self, capsys):
         assert main(["model", "two-param", "--beta", "1"]) == 2
 
+    def test_out_of_memory_is_invalid_parameters(self, capsys, monkeypatch):
+        def refuse(n):
+            raise MemoryError("Unable to allocate 74.5 GiB for an array with shape (100000, 100000)")
+
+        monkeypatch.setattr("nlrpb.cli.chebyshev_model", refuse)
+        assert main(["model", "chebyshev", "--n", "100000"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("error: out of memory")
+
     def test_unknown_family_is_parser_error(self, capsys):
         assert main(["model", "hydrogen"]) == 2
 
@@ -129,6 +143,13 @@ class TestVerifyCommand:
         rc, doc = run_json(capsys, ["verify", str(path)])
         assert rc == 0
         assert "p4_resolution_of_identity" in checks_by_name(doc)
+
+    def test_single_level_system_passes(self, capsys, tmp_path):
+        path = tmp_path / "sys.json"
+        serialize.write_document(path, {"n": 1, "eps": [0.0], "phi": [[2.0]], "eta": [[0.5]]})
+        rc, doc = run_json(capsys, ["verify", str(path)])
+        assert rc == 0
+        assert checks_by_name(doc)["commutator_gaps"]["residual"] == 0.0
 
     def test_bad_ground_level_fails_structure_gate(self, capsys, tmp_path):
         doc_sys = serialize.system_to_dict(chebyshev_paper_normalization(3))
@@ -308,6 +329,153 @@ class TestConvertCommand:
         path = tmp_path / "degenerate.json"
         serialize.write_document(path, serialize.crypto_to_dict(CryptoPair(np.eye(2), np.eye(2))))
         assert main(["convert", "crypto2nlrpb", str(path)]) == 2
+
+
+class TestGapBoundary:
+    """verify, convert and the builders apply one rule: a gap of MIN_EPS_GAP is admissible."""
+
+    @pytest.mark.parametrize(
+        "gap, admissible",
+        [(MIN_EPS_GAP, True), (float(np.nextafter(MIN_EPS_GAP, 0.0)), False), (0.5 * MIN_EPS_GAP, False)],
+        ids=["at-min-gap", "one-ulp-below", "half-min-gap"],
+    )
+    def test_all_paths_agree(self, capsys, tmp_path, gap, admissible):
+        eye = np.eye(2)
+        path = tmp_path / "sys.json"
+        serialize.write_document(path, {"n": 2, "eps": [0.0, gap], "phi": eye.tolist(), "eta": eye.tolist()})
+        pair_path = tmp_path / "pair.json"
+        serialize.write_document(pair_path, serialize.crypto_to_dict(CryptoPair(np.diag([0.0, gap]), eye)))
+        verify_rc = main(["verify", str(path)])
+        convert_rc = main(["convert", "nlrpb2crypto", str(path)])
+        verify_pair_rc = main(["verify", str(pair_path)])
+        capsys.readouterr()
+        built = hermitized = True
+        try:
+            build_system(eye, eye, [0.0, gap])
+        except ValidationError as exc:
+            assert "gap" in str(exc)
+            built = False
+        try:
+            hermitize(np.diag([0.0, gap]), eye)
+        except ValidationError as exc:
+            assert "degenerate" in str(exc)
+            hermitized = False
+        if admissible:
+            assert (verify_rc, convert_rc, verify_pair_rc, built, hermitized) == (0, 0, 0, True, True)
+        else:
+            assert (verify_rc, convert_rc, verify_pair_rc, built, hermitized) == (1, 2, 1, False, False)
+
+
+AXIOMS = [
+    ("p1_vacuum_phi", 1e-10),
+    ("p2_vacuum_eta", 1e-10),
+    ("p3_biorthonormality", 1e-10),
+    ("p3_ladder_relations", 1e-10),
+    ("p4_resolution_of_identity", 1e-10),
+    ("p5_frame_bounds", 0.0),
+    ("p5_metric_duality", 1e-10),
+]
+
+
+class TestCheckSets:
+    """Each report's full sorted list of (check, tolerance) per section is pinned."""
+
+    @staticmethod
+    def check_sets(doc):
+        return [
+            (sec["title"], [(c["name"], c["tolerance"]) for c in sec["checks"]])
+            for sec in doc["sections"]
+            if sec["kind"] == "checks"
+        ]
+
+    @pytest.fixture
+    def inputs(self, capsys, tmp_path):
+        paths = {"artifact": tmp_path / "art.json"}
+        assert main(["model", "chebyshev", "--n", "5", "-o", str(paths["artifact"])]) == 0
+        capsys.readouterr()
+        docs = {
+            "system": serialize.system_to_dict(chebyshev_paper_normalization(3)),
+            "bad_ground": serialize.system_to_dict(chebyshev_paper_normalization(3)),
+            "pair": serialize.crypto_to_dict(from_nlrpb(chebyshev_model(3)[1])),
+            "wrong_metric": serialize.crypto_to_dict(CryptoPair(chebyshev_model(3)[0], np.eye(3))),
+        }
+        docs["bad_ground"]["eps"][0] = 0.5
+        for name, doc in docs.items():
+            paths[name] = tmp_path / f"{name}.json"
+            serialize.write_document(paths[name], doc)
+        return paths
+
+    @pytest.mark.parametrize(
+        "argv, expected",
+        [
+            (
+                ["model", "chebyshev", "--n", "5"],
+                [("verification", sorted(AXIOMS + [("commutator_gaps", 1e-10), ("eigen_relations", 1e-10)]))],
+            ),
+            (
+                ["model", "two-param", "--beta", "2", "--delta", "-1"],
+                [("verification", sorted(AXIOMS + [("commutator_gaps", 1e-10), ("eigen_relations", 1e-10)]))],
+            ),
+            (
+                ["verify", "artifact"],
+                [
+                    (
+                        "axioms",
+                        sorted(
+                            AXIOMS
+                            + [("commutator_gaps", 1e-10), ("eigen_relations", 1e-10), ("eps_structure", 0.0)]
+                        ),
+                    )
+                ],
+            ),
+            (
+                ["verify", "system"],
+                [("axioms", sorted(AXIOMS + [("commutator_gaps", 1e-10), ("eps_structure", 0.0)]))],
+            ),
+            (
+                ["verify", "pair"],
+                [
+                    (
+                        "cryptohermiticity",
+                        [
+                            ("cryptohermiticity", 1e-10),
+                            ("hermitized_symmetry", 1e-10),
+                            ("metric_spd", 0.0),
+                            ("spectrum_min_gap", 0.0),
+                        ],
+                    )
+                ],
+            ),
+            (["verify", "bad_ground"], [("axioms", [("eps_structure", 0.0), ("p3_biorthonormality", 1e-10)])]),
+            (
+                ["verify", "wrong_metric"],
+                [("cryptohermiticity", [("cryptohermiticity", 1e-10), ("metric_spd", 0.0)])],
+            ),
+            (
+                ["convert", "nlrpb2crypto", "artifact"],
+                [("roundtrip", [("eigenline_cosines", 1e-9), ("eps_roundtrip", 1e-9)])],
+            ),
+            (
+                ["convert", "crypto2nlrpb", "pair"],
+                [("roundtrip", [("h_roundtrip", 1e-9), ("theta_roundtrip", 1e-9)])],
+            ),
+        ],
+        ids=[
+            "model-chebyshev",
+            "model-two-param",
+            "verify-artifact",
+            "verify-system",
+            "verify-pair",
+            "verify-bad-ground",
+            "verify-wrong-metric",
+            "nlrpb2crypto",
+            "crypto2nlrpb",
+        ],
+    )
+    def test_check_set(self, capsys, inputs, argv, expected):
+        argv = [str(inputs.get(arg, arg)) for arg in argv]
+        main(argv)
+        assert self.check_sets(json.loads(capsys.readouterr().out)) == expected
 
 
 class TestJsonOutput:

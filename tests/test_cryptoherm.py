@@ -6,17 +6,15 @@ import pytest
 from nlrpb.cryptoherm import (
     CryptoPair,
     HermitizedSystem,
-    factorize_h,
     from_crypto,
     from_nlrpb,
     hermitize,
-    spectral_expansions,
     verify_chwrt,
 )
 from nlrpb.errors import ValidationError
-from nlrpb.linalg import jacobi_eigh, residual_norm, spd_inv_sqrt, spd_sqrt
+from nlrpb.linalg import jacobi_eigh, residual_norm
 from nlrpb.models import chebyshev_model, chebyshev_paper_normalization, two_param_model
-from nlrpb.pseudoboson import build_ladders, build_metrics
+from nlrpb.pseudoboson import build_metrics
 
 
 S3 = math.sqrt(3.0)
@@ -193,63 +191,3 @@ class TestRoundtrip:
         hs = hermitize(m, theta)
         back = from_nlrpb(sys)
         assert residual_norm(back.h_matrix, m - hs.shift * np.eye(3)) < 1e-12
-
-
-class TestFactorizeH:
-    def test_identity_metric_passthrough(self):
-        from nlrpb.pseudoboson import build_system
-
-        sys = build_system(np.eye(2), np.eye(2), [0.0, 1.0])
-        lad = build_ladders(sys)
-        a_t, b_t = factorize_h(sys, lad, np.eye(2))
-        assert np.array_equal(a_t, lad.a)
-        assert np.array_equal(b_t, lad.b)
-
-    def test_product_is_hermitized_operator(self):
-        _, sys = chebyshev_model(5)
-        lad = build_ladders(sys)
-        pair = from_nlrpb(sys)
-        hs = hermitize(pair.h_matrix, pair.theta)
-        a_t, b_t = factorize_h(sys, lad, pair.theta)
-        assert residual_norm(b_t @ a_t, hs.h + hs.shift * np.eye(5)) < 1e-12
-
-    def test_commutator_maps_by_similarity(self):
-        _, sys = chebyshev_model(4)
-        lad = build_ladders(sys)
-        theta = build_metrics(sys).s_eta
-        a_t, b_t = factorize_h(sys, lad, theta)
-        sq, isq = spd_sqrt(theta), spd_inv_sqrt(theta)
-        lhs = a_t @ b_t - b_t @ a_t
-        rhs = sq @ (lad.a @ lad.b - lad.b @ lad.a) @ isq
-        assert residual_norm(lhs, rhs) < 1e-12
-
-    def test_dimension_mismatch(self):
-        _, sys = chebyshev_model(2)
-        lad = build_ladders(sys)
-        with pytest.raises(ValidationError):
-            factorize_h(sys, lad, np.eye(3))
-
-
-class TestSpectralExpansions:
-    def test_reproduces_ladder_product_and_transpose(self):
-        _, sys = chebyshev_model(4)
-        lad = build_ladders(sys)
-        h_op, h_dag, h_sym = spectral_expansions(sys)
-        assert residual_norm(h_op, lad.b @ lad.a) < 1e-12
-        assert residual_norm(h_dag, h_op.T) < 1e-12
-        assert residual_norm(h_sym, h_sym.T) < 1e-13
-
-    def test_all_three_isospectral(self):
-        _, sys = chebyshev_model(4)
-        h_op, h_dag, h_sym = spectral_expansions(sys)
-        lam_sym = jacobi_eigh(h_sym).eigenvalues
-        assert np.abs(lam_sym - sys.eps).max() < 1e-12
-        # the non-symmetric forms share the spectrum (checked via the oracle)
-        lam_op = np.sort(np.linalg.eigvals(h_op).real)
-        assert np.abs(lam_op - sys.eps).max() < 1e-10
-
-    def test_intertwining_with_frame_operator(self):
-        _, _, sys = two_param_model(1.5, -2.5)
-        h_op, _, _ = spectral_expansions(sys)
-        s_phi = build_metrics(sys).s_phi
-        assert residual_norm(h_op @ s_phi, s_phi @ h_op.T) < 1e-12

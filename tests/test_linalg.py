@@ -45,10 +45,6 @@ class TestDefaultTolerance:
         assert default_tolerance(17) == pytest.approx(17e-12)
         assert default_tolerance(64) == pytest.approx(64e-12)
 
-    def test_scale_factor(self):
-        assert default_tolerance(32, scale=10.0) == pytest.approx(320e-12)
-        assert default_tolerance(8, scale=10.0) == 1e-10  # flat region ignores scale
-
 
 class TestCoercions:
     def test_as_matrix_copies(self):
