@@ -183,21 +183,20 @@ def _render_md(doc: ReportDocument) -> str:
 def resolve_tolerance(args):
     """(metadata, value-or-None) from --tol, then NLRPB_TOL, then defaults."""
     flag = getattr(args, "tol", None)
-    if flag is not None:
-        value = float(flag)
-        if not math.isfinite(value) or value < 0.0:
-            raise ValidationError(f"--tol must be a nonnegative finite number, got {flag!r}")
-        return {"value": value, "source": "flag"}, value
     env = os.environ.get(ENV_TOL)
-    if env:
+    if flag is not None:
+        value, source, name, raw = flag, "flag", "--tol", flag
+    elif env:
         try:
             value = float(env)
         except ValueError:
             raise ValidationError(f"{ENV_TOL} must be a number, got {env!r}") from None
-        if not math.isfinite(value) or value < 0.0:
-            raise ValidationError(f"{ENV_TOL} must be nonnegative and finite, got {env!r}")
-        return {"value": value, "source": "env"}, value
-    return {"value": None, "source": "default"}, None
+        source, name, raw = "env", ENV_TOL, env
+    else:
+        return {"value": None, "source": "default"}, None
+    if not math.isfinite(value) or value < 0.0:
+        raise ValidationError(f"{name} must be a nonnegative finite number, got {raw!r}")
+    return {"value": value, "source": source}, value
 
 
 def _metric_scalars(system) -> Section:
@@ -519,10 +518,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Built once per process: one CLI run pays for it at import either way, and
+# repeated in-process calls to main() skip it.  parse_args leaves the parser
+# unchanged, and help and error text find sys.stdout/sys.stderr when printed.
+_PARSER = build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -123,6 +123,15 @@ class TwoParamSpec:
                 f"two-param family: y*w*(beta-delta) must equal 1, got {y * w * (beta - delta)!r}"
             )
         freeze(self, beta=beta, delta=delta, y=y, w=w)
+        try:
+            finite = all(map(math.isfinite, (self.eps1, 1.0 / beta, 1.0 / delta)))
+        except OverflowError:
+            finite = False
+        if not finite:
+            raise ValidationError(
+                "two-param family: eps[1] = -(beta-delta)^2/(beta*delta), 1/beta and 1/delta "
+                f"must be finite, got beta={beta!r}, delta={delta!r}"
+            )
 
     @property
     def eps1(self) -> float:

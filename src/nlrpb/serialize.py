@@ -270,7 +270,14 @@ def load_document(path):
 
 
 def write_document(path, obj) -> None:
-    """Serialize obj to path via a temp file and atomic rename."""
+    """Serialize obj to path via a temp file and atomic rename.
+
+    An existing target that is not a regular file (a FIFO, a device node,
+    a directory) raises OSError and is left untouched: the rename would
+    replace it.
+    """
+    if os.path.exists(path) and not os.path.isfile(path):
+        raise OSError(f"{os.fspath(path)}: not a regular file, refusing to replace it")
     text = dumps(obj) + "\n"
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(prefix=".nlrpb-", suffix=".tmp", dir=directory)

@@ -1,6 +1,8 @@
 import json
 import math
 import os
+import re
+import stat
 import subprocess
 import sys
 
@@ -109,6 +111,32 @@ class TestModelCommand:
 
     def test_unknown_family_is_parser_error(self, capsys):
         assert main(["model", "hydrogen"]) == 2
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "beta, delta",
+        [("1e200", "-1"), ("1e300", "-1e300"), ("1e-320", "-1"), ("1", "-1e-320")],
+    )
+    def test_two_param_overflow_is_invalid(self, capsys, beta, delta):
+        assert main(["model", "two-param", f"--beta={beta}", f"--delta={delta}"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("error: two-param family:")
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    def test_output_to_fifo_is_refused(self, capsys, tmp_path):
+        fifo = tmp_path / "fifo"
+        os.mkfifo(fifo)
+        assert main(["model", "chebyshev", "--n", "2", "-o", str(fifo)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("error: ")
+        assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+        assert sorted(os.listdir(tmp_path)) == ["fifo"]
 
 
 class TestVerifyCommand:
@@ -253,6 +281,22 @@ class TestVerifyCommand:
     def test_negative_flag_tolerance(self, capsys, tmp_path):
         path = self.make_artifact(capsys, tmp_path)
         assert main(["verify", str(path), "--tol", "-1"]) == 2
+
+    @pytest.mark.parametrize("raw", ["nan", "inf", "-1"])
+    @pytest.mark.parametrize("source", ["--tol", "NLRPB_TOL"])
+    def test_tolerance_must_be_nonnegative_finite(self, capsys, tmp_path, monkeypatch, source, raw):
+        path = self.make_artifact(capsys, tmp_path)
+        if source == "--tol":
+            argv = ["verify", str(path), f"--tol={raw}"]
+        else:
+            monkeypatch.setenv("NLRPB_TOL", raw)
+            argv = ["verify", str(path)]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith(f"error: {source} must be a nonnegative finite number, got ")
 
 
 class TestConvertCommand:
@@ -532,6 +576,60 @@ class TestParserBasics:
 
     def test_unknown_command_is_error(self, capsys):
         assert main(["frobnicate"]) == 2
+
+    @staticmethod
+    def command_per_subcommand(tmp_path):
+        system = tmp_path / "sys.json"
+        serialize.write_document(system, serialize.system_to_dict(chebyshev_paper_normalization(2)))
+        pair = tmp_path / "pair.json"
+        serialize.write_document(pair, serialize.crypto_to_dict(from_nlrpb(chebyshev_model(3)[1])))
+        return [
+            ["model", "chebyshev", "--n", "3"],
+            ["model", "two-param", "--beta", "2", "--delta=-1"],
+            ["model", "chebyshev", "--n", "3", "-o", str(tmp_path / "out.json")],
+            ["verify", str(system)],
+            ["verify", str(pair)],
+            ["convert", "nlrpb2crypto", str(system)],
+            ["convert", "crypto2nlrpb", str(pair)],
+            ["paper-tables", "n2"],
+            ["paper-tables", "two-param", "--format", "md"],
+        ]
+
+    def test_main_builds_no_parser(self, capsys, tmp_path, monkeypatch):
+        argvs = self.command_per_subcommand(tmp_path)
+
+        def refuse():
+            raise AssertionError("main must reuse the parser built at import")
+
+        monkeypatch.setattr("nlrpb.cli.build_parser", refuse)
+        for argv in argvs:
+            assert main(argv) == 0, argv
+        assert main(["model", "chebyshev"]) == 2
+        assert main(["verify", str(tmp_path / "missing.json")]) == 3
+
+    def test_repeated_calls_do_not_interact(self, capsys, tmp_path):
+        argvs = self.command_per_subcommand(tmp_path) + [
+            ["--help"],
+            [],
+            ["frobnicate"],
+            ["paper-tables", "n9"],
+            ["paper-tables", "n3", "--format", "xml"],
+            ["verify", str(tmp_path / "sys.json"), "--tol", "-1"],
+            ["model", "chebyshev"],
+        ]
+
+        def run(order):
+            results = {}
+            for argv in order:
+                rc = main(list(argv))
+                captured = capsys.readouterr()
+                out = re.sub(r'"timestamp": "[^"]*"|- timestamp: \S+', "TIMESTAMP", captured.out)
+                results[tuple(argv)] = (rc, out, captured.err)
+            return results
+
+        forward = run(argvs)
+        assert run(argvs[::-1]) == forward
+        assert [forward[tuple(argv)][0] for argv in argvs[-7:]] == [0, 2, 2, 2, 2, 2, 2]
 
     def test_module_entry_point(self, tmp_path):
         env = {k: v for k, v in os.environ.items() if k != "NLRPB_TOL"}
