@@ -39,9 +39,7 @@ from .linalg import (
 from .models import (
     ChebyshevSpec,
     TwoParamSpec,
-    biorthonormalize,
     chebyshev_model,
-    chebyshev_nodes,
     chebyshev_paper_normalization,
     two_param_model,
 )
@@ -77,12 +75,10 @@ __all__ = [
     "TwoParamSpec",
     "ValidationError",
     "VerificationReport",
-    "biorthonormalize",
     "build_ladders",
     "build_metrics",
     "build_system",
     "chebyshev_model",
-    "chebyshev_nodes",
     "chebyshev_paper_normalization",
     "commutator_defect",
     "default_tolerance",

@@ -23,15 +23,14 @@ import argparse
 import math
 import os
 import sys as _sys
-from dataclasses import dataclass, field
 from datetime import datetime, timezone
 
 import numpy as np
 
 from . import serialize
-from .cryptoherm import from_crypto, from_nlrpb, hermitize, hermitized_checks
+from .cryptoherm import crypto_roundtrip, hermitize, hermitized_checks, nlrpb_roundtrip
 from .errors import ConvergenceError, SchemaError, ValidationError
-from .linalg import _TINY, jacobi_eigh, residual_norm
+from .linalg import _TINY, jacobi_eigh
 from .models import ChebyshevSpec, TwoParamSpec, chebyshev_model, chebyshev_paper_normalization, two_param_model
 from .pseudoboson import (
     LadderPair,
@@ -44,67 +43,32 @@ from .pseudoboson import (
     eps_structure_check,
     verify_axioms,
 )
-from .report import Check, VerificationReport
+from .report import Check
 
 __all__ = ["main"]
 
 ENV_TOL = "NLRPB_TOL"
 
 
-@dataclass
-class Section:
-    title: str
-    kind: str  # checks | spectrum | matrix | scalars | comparison
-    payload: dict
-
-    def to_dict(self) -> dict:
-        out = {"title": self.title, "kind": self.kind}
-        out.update(self.payload)
-        return out
+def checks_section(title: str, checks) -> dict:
+    ordered = sorted(checks, key=lambda c: c.name)
+    passed = all(c.passed for c in ordered)
+    return {"title": title, "kind": "checks", "checks": [c.to_dict() for c in ordered], "pass": passed}
 
 
-@dataclass
-class ReportDocument:
-    command: str
-    tolerance: dict
-    sections: list
-    timestamp: str = field(
-        default_factory=lambda: datetime.now(timezone.utc).isoformat(timespec="seconds")
-    )
-
-    @property
-    def passed(self) -> bool:
-        return all(s.payload["pass"] for s in self.sections if s.kind == "checks")
-
-    def to_dict(self) -> dict:
-        return {
-            "command": self.command,
-            "timestamp": self.timestamp,
-            "tolerance": self.tolerance,
-            "sections": [s.to_dict() for s in self.sections],
-            "pass": self.passed,
-        }
+def spectrum_section(title: str, values) -> dict:
+    return {"title": title, "kind": "spectrum", "values": [float(v) for v in values]}
 
 
-def checks_section(title: str, checks) -> Section:
-    ordered = tuple(sorted(checks, key=lambda c: c.name))
-    rep = VerificationReport(ordered)
-    return Section(title, "checks", {"checks": [c.to_dict() for c in ordered], "pass": rep.passed})
+def matrix_section(title: str, arr) -> dict:
+    return {"title": title, "kind": "matrix", "matrix": serialize.matrix_to_dict(arr)}
 
 
-def spectrum_section(title: str, values) -> Section:
-    return Section(title, "spectrum", {"values": [float(v) for v in values]})
+def scalars_section(title: str, mapping: dict) -> dict:
+    return {"title": title, "kind": "scalars", "values": {k: float(v) for k, v in mapping.items()}}
 
 
-def matrix_section(title: str, arr) -> Section:
-    return Section(title, "matrix", {"matrix": serialize.matrix_to_dict(arr)})
-
-
-def scalars_section(title: str, mapping: dict) -> Section:
-    return Section(title, "scalars", {"values": {k: float(v) for k, v in mapping.items()}})
-
-
-def comparison_section(title: str, labels, reference, computed) -> Section:
+def comparison_section(title: str, labels, reference, computed) -> dict:
     rows = [
         {
             "label": str(lab),
@@ -114,20 +78,33 @@ def comparison_section(title: str, labels, reference, computed) -> Section:
         }
         for lab, ref, got in zip(labels, reference, computed)
     ]
-    return Section(title, "comparison", {"rows": rows})
+    return {"title": title, "kind": "comparison", "rows": rows}
 
 
-def render(doc: ReportDocument, fmt: str) -> str:
+def print_report(command: str, tolerance: dict, sections: list, fmt: str = "json") -> int:
+    """Print the report document and return its exit code: 0 if every checks section passes, else 1."""
+    doc = {
+        "command": command,
+        "timestamp": datetime.now(timezone.utc).isoformat(timespec="seconds"),
+        "tolerance": tolerance,
+        "sections": sections,
+        "pass": all(s["pass"] for s in sections if s["kind"] == "checks"),
+    }
+    print(render(doc, fmt), end="")
+    return 0 if doc["pass"] else 1
+
+
+def render(doc: dict, fmt: str) -> str:
     if fmt == "json":
-        return serialize.dumps(doc.to_dict()) + "\n"
+        return serialize.dumps(doc) + "\n"
     if fmt == "csv":
         lines = ["section,check,residual,tolerance,pass"]
-        for sec in doc.sections:
-            if sec.kind != "checks":
+        for sec in doc["sections"]:
+            if sec["kind"] != "checks":
                 continue
-            for c in sec.payload["checks"]:
+            for c in sec["checks"]:
                 lines.append(
-                    f"{sec.title},{c['name']},{c['residual']:.17g},{c['tolerance']:.17g},"
+                    f"{sec['title']},{c['name']},{c['residual']:.17g},{c['tolerance']:.17g},"
                     f"{'true' if c['pass'] else 'false'}"
                 )
         return "\n".join(lines) + "\n"
@@ -136,40 +113,40 @@ def render(doc: ReportDocument, fmt: str) -> str:
     raise ValidationError(f"unknown format {fmt!r}")
 
 
-def _render_md(doc: ReportDocument) -> str:
-    out = [f"# nlrpb {doc.command}", ""]
-    tol = doc.tolerance
-    out.append(f"- timestamp: {doc.timestamp}")
+def _render_md(doc: dict) -> str:
+    out = [f"# nlrpb {doc['command']}", ""]
+    tol = doc["tolerance"]
+    out.append(f"- timestamp: {doc['timestamp']}")
     out.append(f"- tolerance: {tol['value']} (source: {tol['source']})")
-    out.append(f"- overall: {'PASS' if doc.passed else 'FAIL'}")
-    for sec in doc.sections:
-        out.extend(["", f"## {sec.title}", ""])
-        if sec.kind == "checks":
+    out.append(f"- overall: {'PASS' if doc['pass'] else 'FAIL'}")
+    for sec in doc["sections"]:
+        out.extend(["", f"## {sec['title']}", ""])
+        if sec["kind"] == "checks":
             out.append("| check | residual | tolerance | pass |")
             out.append("| --- | --- | --- | --- |")
-            for c in sec.payload["checks"]:
+            for c in sec["checks"]:
                 out.append(
                     f"| {c['name']} | {c['residual']:.6e} | {c['tolerance']:.1e} | "
                     f"{'yes' if c['pass'] else 'NO'} |"
                 )
-        elif sec.kind == "comparison":
+        elif sec["kind"] == "comparison":
             out.append("| label | reference | computed | deviation |")
             out.append("| --- | --- | --- | --- |")
-            for row in sec.payload["rows"]:
+            for row in sec["rows"]:
                 out.append(
                     f"| {row['label']} | {row['reference']:.12g} | {row['computed']:.12g} | "
                     f"{row['deviation']:.3e} |"
                 )
-        elif sec.kind == "spectrum":
+        elif sec["kind"] == "spectrum":
             out.append("| level | value |")
             out.append("| --- | --- |")
-            for i, v in enumerate(sec.payload["values"]):
+            for i, v in enumerate(sec["values"]):
                 out.append(f"| {i} | {v:.12g} |")
-        elif sec.kind == "scalars":
-            for key, val in sec.payload["values"].items():
+        elif sec["kind"] == "scalars":
+            for key, val in sec["values"].items():
                 out.append(f"- {key}: {val:.12g}")
-        elif sec.kind == "matrix":
-            mat = sec.payload["matrix"]
+        elif sec["kind"] == "matrix":
+            mat = sec["matrix"]
             out.append("```")
             rows, cols = mat["rows"], mat["cols"]
             for i in range(rows):
@@ -199,7 +176,7 @@ def resolve_tolerance(args):
     return {"value": value, "source": source}, value
 
 
-def _metric_scalars(system) -> Section:
+def _metric_scalars(system) -> dict:
     lam = jacobi_eigh(build_metrics(system).s_eta).eigenvalues
     lam_min = float(lam[0])
     lam_max = float(lam[-1])
@@ -231,7 +208,7 @@ def _cmd_model(args) -> int:
         if args.n is not None:
             raise ValidationError("--n does not apply to the two-param family")
         spec = TwoParamSpec(args.beta, args.delta)
-        a_mat, b_mat, system = two_param_model(spec.beta, spec.delta, spec.y, spec.w)
+        a_mat, b_mat, system = two_param_model(spec.beta, spec.delta)
         ladders = LadderPair(a_mat, b_mat)
         m = b_mat @ a_mat
         params = {"beta": spec.beta, "delta": spec.delta, "y": spec.y, "w": spec.w}
@@ -245,7 +222,6 @@ def _cmd_model(args) -> int:
         _metric_scalars(system),
         checks_section("verification", checks),
     ]
-    doc = ReportDocument("model", meta, sections)
     if args.output:
         artifact = serialize.model_artifact_to_dict(
             family,
@@ -254,8 +230,7 @@ def _cmd_model(args) -> int:
             {"m": m, "a": ladders.a, "b": ladders.b, "s_phi": metrics.s_phi, "s_eta": metrics.s_eta},
         )
         serialize.write_document(args.output, artifact)
-    print(render(doc, "json"), end="")
-    return 0 if doc.passed else 1
+    return print_report("model", meta, sections)
 
 
 def _cmd_verify(args) -> int:
@@ -291,25 +266,13 @@ def _cmd_verify(args) -> int:
             # sqrt(eps) would be meaningless; only data-level checks remain
             checks.append(biorthonormality_check(system, tol))
         sections = [checks_section("axioms", checks), spectrum_section("spectrum", system.eps)]
-    doc = ReportDocument("verify", meta, sections)
-    print(render(doc, "json"), end="")
-    return 0 if doc.passed else 1
-
-
-def _line_cosine_defect(sys_a, sys_b) -> float:
-    worst = 0.0
-    for rows_a, rows_b in ((sys_a.phi, sys_b.phi), (sys_a.eta, sys_b.eta)):
-        dots = np.abs(np.sum(rows_a * rows_b, axis=1))
-        norms = np.linalg.norm(rows_a, axis=1) * np.linalg.norm(rows_b, axis=1)
-        worst = max(worst, float((1.0 - dots / np.maximum(norms, _TINY)).max()))
-    return worst
+    return print_report("verify", meta, sections)
 
 
 def _cmd_convert(args) -> int:
     meta, tol = resolve_tolerance(args)
     doc_in = serialize.load_document(args.path)
     kind = serialize.detect_kind(doc_in)
-    rt_tol = 1e-9 if tol is None else tol
     if args.direction == "nlrpb2crypto":
         if kind == "artifact":
             _, _, loose, _ = serialize.model_artifact_from_dict(doc_in)
@@ -318,12 +281,7 @@ def _cmd_convert(args) -> int:
         else:
             raise SchemaError("nlrpb2crypto expects a system or model artifact document")
         system = build_system(loose.phi, loose.eta, loose.eps, tol)
-        pair = from_nlrpb(system)
-        rt_sys, _ = from_crypto(pair.h_matrix, pair.theta, tol)
-        checks = [
-            Check.from_residual("eps_roundtrip", float(np.abs(rt_sys.eps - system.eps).max()), rt_tol),
-            Check.from_residual("eigenline_cosines", _line_cosine_defect(system, rt_sys), rt_tol),
-        ]
+        pair, checks = nlrpb_roundtrip(system, tol)
         out_doc = serialize.crypto_to_dict(pair)
         sections = [
             checks_section("roundtrip", checks),
@@ -334,33 +292,16 @@ def _cmd_convert(args) -> int:
         if kind != "pair":
             raise SchemaError("crypto2nlrpb expects an (h_matrix, theta) pair document")
         pair = serialize.crypto_from_dict(doc_in)
-        system, _ = from_crypto(pair.h_matrix, pair.theta, tol)
-        hs = hermitize(pair.h_matrix, pair.theta, tol)
-        back = from_nlrpb(system)
-        shift_removed = pair.h_matrix - hs.shift * np.eye(system.n)
-        checks = [
-            Check.from_residual(
-                "h_roundtrip",
-                residual_norm(back.h_matrix, shift_removed) / max(float(np.linalg.norm(pair.h_matrix)), 1.0),
-                rt_tol,
-            ),
-            Check.from_residual(
-                "theta_roundtrip",
-                residual_norm(back.theta, pair.theta) / max(float(np.linalg.norm(pair.theta)), _TINY),
-                rt_tol,
-            ),
-        ]
+        system, shift, checks = crypto_roundtrip(pair, tol)
         out_doc = serialize.system_to_dict(system)
         sections = [
             checks_section("roundtrip", checks),
             spectrum_section("spectrum", system.eps),
-            scalars_section("hermitized", {"shift": hs.shift}),
+            scalars_section("hermitized", {"shift": shift}),
         ]
-    doc = ReportDocument("convert", meta, sections)
     if args.output:
         serialize.write_document(args.output, out_doc)
-    print(render(doc, "json"), end="")
-    return 0 if doc.passed else 1
+    return print_report("convert", meta, sections)
 
 
 def _tables_n2():
@@ -478,10 +419,7 @@ _TABLES = {
 
 def _cmd_paper_tables(args) -> int:
     meta, _ = resolve_tolerance(args)
-    sections = _TABLES[args.table]()
-    doc = ReportDocument(f"paper-tables {args.table}", meta, sections)
-    print(render(doc, args.format), end="")
-    return 0 if doc.passed else 1
+    return print_report(f"paper-tables {args.table}", meta, _TABLES[args.table](), args.format)
 
 
 def build_parser() -> argparse.ArgumentParser:

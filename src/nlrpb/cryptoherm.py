@@ -11,6 +11,9 @@ representations convert into each other:
   eps = lam - lam.min().
 * ``from_nlrpb``: a system gives back H = b a and Theta = S_eta.
 
+``nlrpb_roundtrip`` and ``crypto_roundtrip`` convert, convert back and
+report how much of the start survived, at ROUNDTRIP_TOL by default.
+
 ``hermitized_checks`` is the one home of the pair's rules: it reports
 ``verify_chwrt``'s checks and, when those pass, builds h and adds
 ``hermitized_symmetry`` (||h - h^T|| relative to max(||h||, 1)) and
@@ -47,14 +50,19 @@ from .report import Check, VerificationReport, raise_first_failure
 __all__ = [
     "CryptoPair",
     "HermitizedSystem",
+    "ROUNDTRIP_TOL",
+    "crypto_roundtrip",
     "from_crypto",
     "from_nlrpb",
     "hermitize",
     "hermitized_checks",
+    "nlrpb_roundtrip",
     "verify_chwrt",
 ]
 
 _METRIC_SYM_RTOL = 1e-12
+
+ROUNDTRIP_TOL = 1e-9
 
 _HERMITIZE_FAILURES = {
     "cryptohermiticity": "pair is not cryptohermitian",
@@ -187,3 +195,45 @@ def from_nlrpb(sys: BiorthogonalSystem) -> CryptoPair:
     if not rep.passed:
         raise ValidationError("from_nlrpb: constructed pair failed cryptohermiticity; system data inconsistent")
     return pair
+
+
+def _line_cosine_defect(sys_a: BiorthogonalSystem, sys_b: BiorthogonalSystem) -> float:
+    """Largest 1 - |cos| between matching phi rows and matching eta rows."""
+    worst = 0.0
+    for rows_a, rows_b in ((sys_a.phi, sys_b.phi), (sys_a.eta, sys_b.eta)):
+        dots = np.abs(np.sum(rows_a * rows_b, axis=1))
+        norms = np.linalg.norm(rows_a, axis=1) * np.linalg.norm(rows_b, axis=1)
+        worst = max(worst, float((1.0 - dots / np.maximum(norms, _TINY)).max()))
+    return worst
+
+
+def nlrpb_roundtrip(sys: BiorthogonalSystem, tolerance=None):
+    """(CryptoPair, checks): ``from_nlrpb(sys)``, then ``eps_roundtrip`` and
+    ``eigenline_cosines`` of the system ``from_crypto`` rebuilds from it."""
+    rt_tol = ROUNDTRIP_TOL if tolerance is None else tolerance
+    pair = from_nlrpb(sys)
+    back, _ = from_crypto(pair.h_matrix, pair.theta, tolerance)
+    eps_defect = float(np.abs(back.eps - sys.eps).max())
+    checks = [
+        Check.from_residual("eps_roundtrip", eps_defect, rt_tol),
+        Check.from_residual("eigenline_cosines", _line_cosine_defect(sys, back), rt_tol),
+    ]
+    return pair, checks
+
+
+def crypto_roundtrip(pair: CryptoPair, tolerance=None):
+    """(system, shift, checks): ``from_crypto(pair)``, then ``h_roundtrip``
+    (against H - shift I, relative to max(||H||, 1)) and ``theta_roundtrip``
+    (relative to ||Theta||) of the pair ``from_nlrpb`` rebuilds from it."""
+    rt_tol = ROUNDTRIP_TOL if tolerance is None else tolerance
+    h, t = pair.h_matrix, pair.theta
+    sys, _ = from_crypto(h, t, tolerance)
+    hs = hermitize(h, t, tolerance)
+    back = from_nlrpb(sys)
+    h_defect = residual_norm(back.h_matrix, h - hs.shift * np.eye(sys.n)) / max(float(np.linalg.norm(h)), 1.0)
+    t_defect = residual_norm(back.theta, t) / max(float(np.linalg.norm(t)), _TINY)
+    checks = [
+        Check.from_residual("h_roundtrip", h_defect, rt_tol),
+        Check.from_residual("theta_roundtrip", t_defect, rt_tol),
+    ]
+    return sys, hs.shift, checks

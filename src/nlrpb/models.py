@@ -32,28 +32,26 @@ matrices used in the golden tests.
 from __future__ import annotations
 
 import math
+import sys as _sys
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ValidationError
-from .linalg import _TINY, as_matrix, default_tolerance, freeze
+from .linalg import freeze
 from .pseudoboson import BiorthogonalSystem, build_system
 
 __all__ = [
     "ChebyshevSpec",
     "TwoParamSpec",
-    "biorthonormalize",
     "chebyshev_model",
-    "chebyshev_nodes",
     "chebyshev_paper_normalization",
     "two_param_model",
 ]
 
-def chebyshev_nodes(n: int) -> np.ndarray:
+
+def _chebyshev_nodes(n: int) -> np.ndarray:
     """Roots of T_n in ascending order: x_j = -cos((j + 1/2) pi / n)."""
-    if n < 1:
-        raise ValidationError(f"chebyshev_nodes: n must be >= 1, got {n}")
     return -np.cos((np.arange(n) + 0.5) * np.pi / n)
 
 
@@ -71,17 +69,20 @@ class ChebyshevSpec:
             raise ValidationError(f"chebyshev family: size must be an integer, got {self.n!r}") from None
         if n != self.n or n < 2:
             raise ValidationError(f"chebyshev family: size must be an integer >= 2, got {self.n!r}")
+        if n * n * 8 > _sys.maxsize:
+            raise ValidationError(f"chebyshev family: size {n} is too large for an N x N float64 array")
         freeze(self, n=n, z=float(-2.0 * np.cos((n - 0.5) * np.pi / n)))
 
 
 @dataclass(frozen=True)
 class TwoParamSpec:
-    """Parameters of the 2x2 family with the pairing gauge resolved."""
+    """Parameters of the 2x2 family; the pairing gauge is computed, with
+    y w (beta - delta) = 1 and y = w if beta > delta, else y = -w."""
 
     beta: float
     delta: float
-    y: float = None
-    w: float = None
+    y: float = field(init=False)
+    w: float = field(init=False)
 
     def __post_init__(self):
         beta = float(self.beta)
@@ -97,25 +98,11 @@ class TwoParamSpec:
                 "two-param family: beta*delta must be negative so that "
                 "eps[1] = -(beta-delta)^2/(beta*delta) is positive"
             )
-        y, w = self.y, self.w
-        if y is None and w is None:
-            if beta > delta:
-                y = w = 1.0 / math.sqrt(beta - delta)
-            else:
-                y = 1.0 / math.sqrt(delta - beta)
-                w = -y
-        elif y is None:
-            w = float(w)
-            if w == 0.0:
-                raise ValidationError("two-param family: y and w must be finite and nonzero")
-            y = 1.0 / (w * (beta - delta))
-        elif w is None:
-            y = float(y)
-            if y == 0.0:
-                raise ValidationError("two-param family: y and w must be finite and nonzero")
-            w = 1.0 / (y * (beta - delta))
-        y = float(y)
-        w = float(w)
+        if beta > delta:
+            y = w = 1.0 / math.sqrt(beta - delta)
+        else:
+            y = 1.0 / math.sqrt(delta - beta)
+            w = -y
         if not (math.isfinite(y) and math.isfinite(w)):
             raise ValidationError("two-param family: y and w must be finite and nonzero")
         if not abs(y * w * (beta - delta) - 1.0) <= 1e-12:
@@ -138,13 +125,13 @@ class TwoParamSpec:
         return -((self.beta - self.delta) ** 2) / (self.beta * self.delta)
 
 
-def two_param_model(beta, delta, y=None, w=None):
+def two_param_model(beta, delta):
     """(A, B, system) for the two-parameter family.
 
     A and B double as the system's ladder pair: applying
     ``build_ladders`` to the returned system reproduces them.
     """
-    spec = TwoParamSpec(beta, delta, y, w)
+    spec = TwoParamSpec(beta, delta)
     beta, delta, y, w = spec.beta, spec.delta, spec.y, spec.w
     a_mat = np.array([[-1.0, beta], [-1.0 / beta, 1.0]])
     b_mat = np.array([[-1.0, delta], [-1.0 / delta, 1.0]])
@@ -158,34 +145,6 @@ def two_param_model(beta, delta, y=None, w=None):
         np.array([phi0, phi1]), np.array([eta0, eta1]), np.array([0.0, eps1])
     )
     return a_mat, b_mat, sys
-
-
-def biorthonormalize(phi_raw, eta_raw):
-    """Scale phi rows by 1 / <eta_n, phi_raw_n>; eta rows pass through.
-
-    Off-diagonal pairings must already vanish (within default_tolerance(N),
-    relative to the largest pairing); a vanishing diagonal pairing means
-    the input cannot be biorthonormalized.
-    """
-    phi_raw = as_matrix(phi_raw, "phi_raw")
-    eta_raw = as_matrix(eta_raw, "eta_raw")
-    if phi_raw.shape != eta_raw.shape or phi_raw.shape[0] != phi_raw.shape[1]:
-        raise ValidationError(
-            f"biorthonormalize: need matching square row stacks, got {phi_raw.shape} and {eta_raw.shape}"
-        )
-    n = phi_raw.shape[0]
-    gram = phi_raw @ eta_raw.T
-    diag = np.diag(gram).copy()
-    scale = np.maximum(np.linalg.norm(phi_raw, axis=1) * np.linalg.norm(eta_raw, axis=1), _TINY)
-    vanishing = np.abs(diag) <= 1e-12 * scale
-    if np.any(vanishing):
-        raise ValidationError(
-            f"biorthonormalize: vanishing diagonal pairing at level {int(np.argmax(vanishing))}"
-        )
-    off = float(np.abs(gram - np.diag(diag)).max()) if n > 1 else 0.0
-    if off > default_tolerance(n) * max(1.0, float(np.abs(diag).max())):
-        raise ValidationError(f"biorthonormalize: off-diagonal pairing {off:.3e} is not negligible")
-    return phi_raw / diag[:, None], eta_raw.copy()
 
 
 def _chebyshev_rows(count: int, x: np.ndarray) -> np.ndarray:
@@ -208,14 +167,17 @@ def chebyshev_model(n: int):
     spec = ChebyshevSpec(n)
     n = spec.n
     z = spec.z
-    x = chebyshev_nodes(n)
+    x = _chebyshev_nodes(n)
     m = np.diag(np.full(n, z))
     m += np.diag(np.r_[2.0, np.ones(n - 2)], 1)
     m += np.diag(np.ones(n - 1), -1)
     phi_raw = _chebyshev_rows(n, x)
     eta_raw = phi_raw.copy()
     eta_raw[:, 0] = 0.5
-    phi, eta = biorthonormalize(phi_raw, eta_raw)
+    # phi rows scaled by 1 / <phi_raw_n, eta_raw_n> (= 2/N); build_system's
+    # p3_biorthonormality bounds the off-diagonal pairings
+    phi = phi_raw / np.diag(phi_raw @ eta_raw.T)[:, None]
+    eta = eta_raw
     eps = 2.0 * x + z
     eps = eps - eps[0]
     sys = build_system(phi, eta, eps)

@@ -54,9 +54,6 @@ class VerificationReport:
                 return c
         raise KeyError(name)
 
-    def to_dict(self) -> dict:
-        return {"checks": [c.to_dict() for c in self.checks], "pass": self.passed}
-
 
 def raise_first_failure(where: str, checks, reasons: dict) -> None:
     """Raise ValidationError for the first failed check, led by ``reasons[check.name]``.

@@ -109,6 +109,16 @@ class TestModelCommand:
         assert len(lines) == 1
         assert lines[0].startswith("error: out of memory")
 
+    @pytest.mark.parametrize("n", ["99999999999999999999", "3037000500"])
+    def test_unaddressable_size_is_invalid(self, capsys, n):
+        # rejected by the spec before any array exists; N*N*8 exceeds sys.maxsize
+        assert main(["model", "chebyshev", "--n", n]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("error: chebyshev family: size")
+
     def test_unknown_family_is_parser_error(self, capsys):
         assert main(["model", "hydrogen"]) == 2
 
@@ -373,6 +383,20 @@ class TestConvertCommand:
         path = tmp_path / "degenerate.json"
         serialize.write_document(path, serialize.crypto_to_dict(CryptoPair(np.eye(2), np.eye(2))))
         assert main(["convert", "crypto2nlrpb", str(path)]) == 2
+
+    def test_env_tolerance_reaches_roundtrip(self, capsys, tmp_path, monkeypatch):
+        art = tmp_path / "art.json"
+        pair = tmp_path / "pair.json"
+        assert main(["model", "chebyshev", "--n", "5", "-o", str(art)]) == 0
+        capsys.readouterr()
+        monkeypatch.setenv("NLRPB_TOL", "1e-3")
+        for argv in (["nlrpb2crypto", str(art), "-o", str(pair)], ["crypto2nlrpb", str(pair)]):
+            rc, doc = run_json(capsys, ["convert", *argv])
+            assert rc == 0
+            assert doc["tolerance"] == {"value": 1e-3, "source": "env"}
+            (section,) = [s for s in doc["sections"] if s["kind"] == "checks"]
+            assert section["title"] == "roundtrip"
+            assert [c["tolerance"] for c in section["checks"]] == [1e-3, 1e-3]
 
 
 class TestGapBoundary:

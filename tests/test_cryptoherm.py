@@ -4,17 +4,20 @@ import numpy as np
 import pytest
 
 from nlrpb.cryptoherm import (
+    ROUNDTRIP_TOL,
     CryptoPair,
     HermitizedSystem,
+    crypto_roundtrip,
     from_crypto,
     from_nlrpb,
     hermitize,
+    nlrpb_roundtrip,
     verify_chwrt,
 )
 from nlrpb.errors import ValidationError
 from nlrpb.linalg import jacobi_eigh, residual_norm
 from nlrpb.models import chebyshev_model, chebyshev_paper_normalization, two_param_model
-from nlrpb.pseudoboson import build_metrics
+from nlrpb.pseudoboson import build_metrics, build_system, rescale
 
 
 S3 = math.sqrt(3.0)
@@ -191,3 +194,66 @@ class TestRoundtrip:
         hs = hermitize(m, theta)
         back = from_nlrpb(sys)
         assert residual_norm(back.h_matrix, m - hs.shift * np.eye(3)) < 1e-12
+
+
+def lossy_system():
+    """Chebyshev N=8 with eps scaled by 1000: the absolute eps_roundtrip is
+    about 1e-12, while every relative residual of the conversions stays near 1e-15."""
+    _, sys = chebyshev_model(8)
+    return build_system(sys.phi, sys.eta, 1000.0 * sys.eps)
+
+
+def lossy_pair():
+    """Gauged Chebyshev N=2 (factors 1 and 1000): h_roundtrip is about 5e-11,
+    while the pair's own checks and the built system's stay below 2e-13."""
+    _, sys = chebyshev_model(2)
+    return from_nlrpb(rescale(sys, [1.0, 1000.0]))
+
+
+class TestRoundtripChecks:
+    def test_default_tolerance(self):
+        assert ROUNDTRIP_TOL == 1e-9
+        _, sys = chebyshev_model(5)
+        pair, checks = nlrpb_roundtrip(sys)
+        _, shift, back_checks = crypto_roundtrip(pair)
+        assert [c.name for c in checks] == ["eps_roundtrip", "eigenline_cosines"]
+        assert [c.name for c in back_checks] == ["h_roundtrip", "theta_roundtrip"]
+        for c in checks + back_checks:
+            assert c.tolerance == 1e-9 and c.passed
+
+    def test_explicit_tolerance_is_carried(self):
+        _, sys = chebyshev_model(5)
+        pair, checks = nlrpb_roundtrip(sys, 1e-6)
+        _, _, back_checks = crypto_roundtrip(pair, 1e-6)
+        for c in checks + back_checks:
+            assert c.tolerance == 1e-6 and c.passed
+
+    def test_outputs_match_the_conversions(self):
+        _, sys = chebyshev_model(4)
+        pair, _ = nlrpb_roundtrip(sys)
+        direct = from_nlrpb(sys)
+        assert np.array_equal(pair.h_matrix, direct.h_matrix)
+        assert np.array_equal(pair.theta, direct.theta)
+        back, shift, _ = crypto_roundtrip(pair)
+        assert np.array_equal(back.eps, from_crypto(pair.h_matrix, pair.theta)[0].eps)
+        assert shift == hermitize(pair.h_matrix, pair.theta).shift
+
+    def test_nlrpb_tolerance_below_residual_fails(self):
+        sys = lossy_system()
+        _, checks = nlrpb_roundtrip(sys, 1e-13)
+        by_name = {c.name: c for c in checks}
+        assert by_name["eps_roundtrip"].residual > 1e-13
+        assert not by_name["eps_roundtrip"].passed
+        assert by_name["eigenline_cosines"].passed
+        _, loose = nlrpb_roundtrip(sys, 1e-11)
+        assert all(c.passed for c in loose)
+
+    def test_crypto_tolerance_below_residual_fails(self):
+        pair = lossy_pair()
+        _, _, checks = crypto_roundtrip(pair, 3e-12)
+        by_name = {c.name: c for c in checks}
+        assert by_name["h_roundtrip"].residual > 3e-12
+        assert not by_name["h_roundtrip"].passed
+        assert by_name["theta_roundtrip"].passed
+        _, _, loose = crypto_roundtrip(pair, 1e-9)
+        assert all(c.passed for c in loose)

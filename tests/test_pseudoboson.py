@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from nlrpb.cli import checks_section
 from nlrpb.errors import ValidationError
 from nlrpb.linalg import residual_norm
 from nlrpb.models import chebyshev_model, chebyshev_paper_normalization, two_param_model
@@ -180,8 +181,8 @@ class TestVerifyAxioms:
 
     def test_report_dict_schema(self):
         sys = trivial_system()
-        doc = verify_axioms(sys, build_ladders(sys)).to_dict()
-        assert set(doc) == {"checks", "pass"}
+        doc = checks_section("axioms", verify_axioms(sys, build_ladders(sys)).checks)
+        assert set(doc) == {"title", "kind", "checks", "pass"}
         assert doc["pass"] is True
         for entry in doc["checks"]:
             assert set(entry) == {"name", "residual", "tolerance", "pass"}
