@@ -17,82 +17,16 @@ serialization for every artifact, and a CLI (``nlrpb``) that reports
 residual checks.
 """
 
-from .cryptoherm import (
-    CryptoPair,
-    HermitizedSystem,
-    from_crypto,
-    from_nlrpb,
-    hermitize,
-    verify_chwrt,
-)
-from .errors import ConvergenceError, SchemaError, ValidationError
-from .linalg import (
-    SPD_GATE,
-    SymEig,
-    default_tolerance,
-    jacobi_eigh,
-    residual_norm,
-    spd_deficit,
-    spd_inv_sqrt,
-    spd_sqrt,
-)
-from .models import (
-    ChebyshevSpec,
-    TwoParamSpec,
-    chebyshev_model,
-    chebyshev_paper_normalization,
-    two_param_model,
-)
-from .pseudoboson import (
-    MIN_EPS_GAP,
-    BiorthogonalSystem,
-    LadderPair,
-    MetricPair,
-    build_ladders,
-    build_metrics,
-    build_system,
-    commutator_defect,
-    rescale,
-    verify_axioms,
-)
-from .report import Check, VerificationReport
+# Each module's __all__ is its public API; the package republishes them all.
+from . import cryptoherm, errors, linalg, models, pseudoboson, report
+from .cryptoherm import *
+from .errors import *
+from .linalg import *
+from .models import *
+from .pseudoboson import *
+from .report import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BiorthogonalSystem",
-    "Check",
-    "ChebyshevSpec",
-    "ConvergenceError",
-    "CryptoPair",
-    "HermitizedSystem",
-    "LadderPair",
-    "MIN_EPS_GAP",
-    "MetricPair",
-    "SchemaError",
-    "SPD_GATE",
-    "SymEig",
-    "TwoParamSpec",
-    "ValidationError",
-    "VerificationReport",
-    "build_ladders",
-    "build_metrics",
-    "build_system",
-    "chebyshev_model",
-    "chebyshev_paper_normalization",
-    "commutator_defect",
-    "default_tolerance",
-    "from_crypto",
-    "from_nlrpb",
-    "hermitize",
-    "jacobi_eigh",
-    "rescale",
-    "residual_norm",
-    "spd_deficit",
-    "spd_inv_sqrt",
-    "spd_sqrt",
-    "two_param_model",
-    "verify_axioms",
-    "verify_chwrt",
-    "__version__",
-]
+__all__ = [name for module in (cryptoherm, errors, linalg, models, pseudoboson, report) for name in module.__all__]
+__all__.append("__version__")

@@ -10,9 +10,9 @@ paper-tables  print reference tables for the solvable families
 Every command prints a report document (JSON unless paper-tables is
 given ``--format csv|md``) and exits 0 when all checks pass, 1 on
 verification failure, 2 on invalid parameters (or when memory runs
-out), 3 on I/O or parse errors.  The NLRPB_TOL environment variable
-sets the default residual tolerance; ``verify --tol`` takes
-precedence.  Positive-definiteness gates always keep tolerance 0.
+out, or float64 arithmetic overflows or turns invalid), 3 on I/O or
+parse errors.  The NLRPB_TOL environment variable sets the default
+residual tolerance; ``verify --tol`` takes precedence.  Positive-definiteness gates always keep tolerance 0.
 Checks are sorted by name inside every section, and file output is
 written atomically.
 """
@@ -38,10 +38,9 @@ from .pseudoboson import (
     build_ladders,
     build_metrics,
     build_system,
-    commutator_check,
-    eigen_check,
     eps_structure_check,
-    verify_axioms,
+    stored_metrics_check,
+    system_checks,
 )
 from .report import Check
 
@@ -68,15 +67,15 @@ def scalars_section(title: str, mapping: dict) -> dict:
     return {"title": title, "kind": "scalars", "values": {k: float(v) for k, v in mapping.items()}}
 
 
-def comparison_section(title: str, labels, reference, computed) -> dict:
+def comparison_section(title: str, reference, computed) -> dict:
     rows = [
         {
-            "label": str(lab),
+            "label": str(i),
             "reference": float(ref),
             "computed": float(got),
             "deviation": abs(float(got) - float(ref)),
         }
-        for lab, ref, got in zip(labels, reference, computed)
+        for i, (ref, got) in enumerate(zip(reference, computed))
     ]
     return {"title": title, "kind": "comparison", "rows": rows}
 
@@ -108,9 +107,7 @@ def render(doc: dict, fmt: str) -> str:
                     f"{'true' if c['pass'] else 'false'}"
                 )
         return "\n".join(lines) + "\n"
-    if fmt == "md":
-        return _render_md(doc)
-    raise ValidationError(f"unknown format {fmt!r}")
+    return _render_md(doc)
 
 
 def _render_md(doc: dict) -> str:
@@ -137,14 +134,6 @@ def _render_md(doc: dict) -> str:
                     f"| {row['label']} | {row['reference']:.12g} | {row['computed']:.12g} | "
                     f"{row['deviation']:.3e} |"
                 )
-        elif sec["kind"] == "spectrum":
-            out.append("| level | value |")
-            out.append("| --- | --- |")
-            for i, v in enumerate(sec["values"]):
-                out.append(f"| {i} | {v:.12g} |")
-        elif sec["kind"] == "scalars":
-            for key, val in sec["values"].items():
-                out.append(f"- {key}: {val:.12g}")
         elif sec["kind"] == "matrix":
             mat = sec["matrix"]
             out.append("```")
@@ -214,13 +203,10 @@ def _cmd_model(args) -> int:
         params = {"beta": spec.beta, "delta": spec.delta, "y": spec.y, "w": spec.w}
 
     metrics = build_metrics(system)
-    checks = list(verify_axioms(system, ladders, tol).checks)
-    checks.append(commutator_check(system, ladders, tol))
-    checks.append(eigen_check(system, m, tol))
     sections = [
         spectrum_section("spectrum", system.eps),
         _metric_scalars(system),
-        checks_section("verification", checks),
+        checks_section("verification", system_checks(system, ladders, m, tol)),
     ]
     if args.output:
         artifact = serialize.model_artifact_to_dict(
@@ -249,19 +235,18 @@ def _cmd_verify(args) -> int:
             _, _, system, mats = serialize.model_artifact_from_dict(doc_in)
             ladders = LadderPair(mats["a"], mats["b"])
             m = mats["m"]
+            checks = [stored_metrics_check(system, mats["s_phi"], mats["s_eta"], tol)]
         else:
             system = serialize.system_from_dict(doc_in)
-            ladders = None
-            m = None
-        checks = [eps_structure_check(system)]
-        if checks[0].passed:
+            ladders = m = None
+            checks = []
+        gate = eps_structure_check(system)
+        checks.append(gate)
+        if gate.passed:
             if ladders is None:
                 # no stored operators: reconstruct the ladders from the data
                 ladders = build_ladders(system)
-            checks.extend(verify_axioms(system, ladders, tol).checks)
-            checks.append(commutator_check(system, ladders, tol))
-            if m is not None:
-                checks.append(eigen_check(system, m, tol))
+            checks.extend(system_checks(system, ladders, m, tol))
         else:
             # sqrt(eps) would be meaningless; only data-level checks remain
             checks.append(biorthonormality_check(system, tol))
@@ -304,6 +289,11 @@ def _cmd_convert(args) -> int:
     return print_report("convert", meta, sections)
 
 
+def _golden(name: str, computed, reference, tol: float = 1e-12) -> Check:
+    """``name``: the largest entrywise |computed - reference|."""
+    return Check(name, float(np.abs(np.subtract(computed, reference)).max()), tol)
+
+
 def _tables_n2():
     s2 = math.sqrt(2.0)
     m, system = chebyshev_model(2)
@@ -315,15 +305,15 @@ def _tables_n2():
     lam = jacobi_eigh(s_eta).eigenvalues
     lam_ref = [(9.0 - math.sqrt(17.0)) / 8.0, (9.0 + math.sqrt(17.0)) / 8.0]
     checks = [
-        Check.from_residual("m_matrix", float(np.abs(m - m_ref).max()), 1e-12),
-        Check.from_residual("spectrum", float(np.abs(system.eps - eps_ref).max()), 1e-12),
-        Check.from_residual("s_eta", float(np.abs(s_eta - s_eta_ref).max()), 1e-12),
-        Check.from_residual("metric_eigenvalues", float(np.abs(lam - lam_ref).max()), 1e-12),
+        _golden("m_matrix", m, m_ref),
+        _golden("spectrum", system.eps, eps_ref),
+        _golden("s_eta", s_eta, s_eta_ref),
+        _golden("metric_eigenvalues", lam, lam_ref),
     ]
     return [
         checks_section("golden values", checks),
-        comparison_section("spectrum", range(2), eps_ref, system.eps),
-        comparison_section("metric eigenvalues", range(2), lam_ref, lam),
+        comparison_section("spectrum", eps_ref, system.eps),
+        comparison_section("metric eigenvalues", lam_ref, lam),
         matrix_section("m reference", m_ref),
         matrix_section("m computed", m),
         matrix_section("s_eta reference", s_eta_ref),
@@ -342,13 +332,13 @@ def _tables_n3():
     h_ref = np.array([[s3, s2, 0.0], [s2, s3, 1.0], [0.0, 1.0, s3]])
     hs = hermitize(m, s_eta)
     checks = [
-        Check.from_residual("spectrum", float(np.abs(system.eps - eps_ref).max()), 1e-12),
-        Check.from_residual("s_eta", float(np.abs(s_eta - s_eta_ref).max()), 1e-12),
-        Check.from_residual("hermitized_h", float(np.abs(hs.h - h_ref).max()), 1e-12),
+        _golden("spectrum", system.eps, eps_ref),
+        _golden("s_eta", s_eta, s_eta_ref),
+        _golden("hermitized_h", hs.h, h_ref),
     ]
     return [
         checks_section("golden values", checks),
-        comparison_section("spectrum", range(3), eps_ref, system.eps),
+        comparison_section("spectrum", eps_ref, system.eps),
         matrix_section("s_eta reference", s_eta_ref),
         matrix_section("s_eta computed", s_eta),
         matrix_section("hermitized h reference", h_ref),
@@ -361,20 +351,20 @@ def _tables_n4():
     _, system = chebyshev_model(4)
     alpha = np.array([0.0, 2.0 - math.sqrt(2.0), math.sqrt(2.0), 2.0])
     eps_ref = alpha * s
-    checks = [Check.from_residual("spectrum", float(np.abs(system.eps - eps_ref).max()), 1e-12)]
+    checks = [_golden("spectrum", system.eps, eps_ref)]
     return [
         checks_section("golden values", checks),
-        comparison_section("spectrum", range(4), eps_ref, system.eps),
+        comparison_section("spectrum", eps_ref, system.eps),
     ]
 
 
 def _tables_n5():
     _, system = chebyshev_model(5)
     eps_ref = [0.0, 0.726542529, 1.902113032, 3.077683536, 3.804226065]
-    checks = [Check.from_residual("spectrum", float(np.abs(system.eps - eps_ref).max()), 1e-8)]
+    checks = [_golden("spectrum", system.eps, eps_ref, 1e-8)]
     return [
         checks_section("golden values", checks),
-        comparison_section("spectrum", range(5), eps_ref, system.eps),
+        comparison_section("spectrum", eps_ref, system.eps),
     ]
 
 
@@ -385,23 +375,17 @@ def _tables_two_param():
     a2, b2, sys2 = two_param_model(2.0, -1.0)
     met2 = build_metrics(sys2)
     checks = [
-        Check.from_residual("beta1_delta-1_spectrum", float(np.abs(sys1.eps - [0.0, 4.0]).max()), 1e-12),
-        Check.from_residual(
-            "beta1_delta-1_m", float(np.abs(m1 - np.array([[2.0, -2.0], [-2.0, 2.0]])).max()), 1e-12
-        ),
-        Check.from_residual("beta1_delta-1_s_phi", float(np.abs(met1.s_phi - np.eye(2)).max()), 1e-12),
-        Check.from_residual("beta2_delta-1_spectrum", float(np.abs(sys2.eps - [0.0, 4.5]).max()), 1e-12),
-        Check.from_residual(
-            "beta2_delta-1_s_phi", float(np.abs(met2.s_phi - np.diag([2.0, 1.0])).max()), 1e-12
-        ),
-        Check.from_residual(
-            "beta2_delta-1_s_eta", float(np.abs(met2.s_eta - np.diag([0.5, 1.0])).max()), 1e-12
-        ),
+        _golden("beta1_delta-1_spectrum", sys1.eps, [0.0, 4.0]),
+        _golden("beta1_delta-1_m", m1, [[2.0, -2.0], [-2.0, 2.0]]),
+        _golden("beta1_delta-1_s_phi", met1.s_phi, np.eye(2)),
+        _golden("beta2_delta-1_spectrum", sys2.eps, [0.0, 4.5]),
+        _golden("beta2_delta-1_s_phi", met2.s_phi, np.diag([2.0, 1.0])),
+        _golden("beta2_delta-1_s_eta", met2.s_eta, np.diag([0.5, 1.0])),
     ]
     return [
         checks_section("golden values", checks),
-        comparison_section("spectrum (beta=1, delta=-1)", range(2), [0.0, 4.0], sys1.eps),
-        comparison_section("spectrum (beta=2, delta=-1)", range(2), [0.0, 4.5], sys2.eps),
+        comparison_section("spectrum (beta=1, delta=-1)", [0.0, 4.0], sys1.eps),
+        comparison_section("spectrum (beta=2, delta=-1)", [0.0, 4.5], sys2.eps),
         matrix_section("m computed (beta=1, delta=-1)", m1),
         matrix_section("s_phi computed (beta=2, delta=-1)", met2.s_phi),
         matrix_section("s_eta computed (beta=2, delta=-1)", met2.s_eta),
@@ -468,18 +452,19 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            return args.func(args)
     except (ValidationError, ConvergenceError) as exc:
         print(f"error: {exc}", file=_sys.stderr)
         return 2
-    except SchemaError as exc:
-        print(f"error: {exc}", file=_sys.stderr)
-        return 3
-    except OSError as exc:
+    except (SchemaError, OSError) as exc:
         print(f"error: {exc}", file=_sys.stderr)
         return 3
     except MemoryError as exc:
         print(f"error: out of memory: {exc}", file=_sys.stderr)
+        return 2
+    except FloatingPointError as exc:
+        print(f"error: float64 arithmetic failed: {exc}", file=_sys.stderr)
         return 2
 
 

@@ -128,8 +128,8 @@ def verify_chwrt(h_matrix, theta, tolerance=None) -> VerificationReport:
 
     return VerificationReport(
         (
-            Check.from_residual("cryptohermiticity", crypto_residual, tol),
-            Check.from_residual("metric_spd", metric_residual, 0.0),
+            Check("cryptohermiticity", crypto_residual, tol),
+            Check("metric_spd", metric_residual, 0.0),
         )
     )
 
@@ -155,8 +155,8 @@ def hermitized_checks(h_matrix, theta, tolerance=None):
     sym = (raw + raw.T) / 2.0
     eig = jacobi_eigh(sym)
     lam = eig.eigenvalues
-    checks.append(Check.from_residual("hermitized_symmetry", asym, effective_tolerance(n, tolerance)))
-    checks.append(Check.from_residual("spectrum_min_gap", gap_deficit(lam), 0.0))
+    checks.append(Check("hermitized_symmetry", asym, effective_tolerance(n, tolerance)))
+    checks.append(Check("spectrum_min_gap", gap_deficit(lam), 0.0))
     shift = float(lam[0])
     return checks, HermitizedSystem(sym - shift * np.eye(n), shift, lam - shift, eig.eigenvectors.T.copy())
 
@@ -215,8 +215,8 @@ def nlrpb_roundtrip(sys: BiorthogonalSystem, tolerance=None):
     back, _ = from_crypto(pair.h_matrix, pair.theta, tolerance)
     eps_defect = float(np.abs(back.eps - sys.eps).max())
     checks = [
-        Check.from_residual("eps_roundtrip", eps_defect, rt_tol),
-        Check.from_residual("eigenline_cosines", _line_cosine_defect(sys, back), rt_tol),
+        Check("eps_roundtrip", eps_defect, rt_tol),
+        Check("eigenline_cosines", _line_cosine_defect(sys, back), rt_tol),
     ]
     return pair, checks
 
@@ -233,7 +233,7 @@ def crypto_roundtrip(pair: CryptoPair, tolerance=None):
     h_defect = residual_norm(back.h_matrix, h - hs.shift * np.eye(sys.n)) / max(float(np.linalg.norm(h)), 1.0)
     t_defect = residual_norm(back.theta, t) / max(float(np.linalg.norm(t)), _TINY)
     checks = [
-        Check.from_residual("h_roundtrip", h_defect, rt_tol),
-        Check.from_residual("theta_roundtrip", t_defect, rt_tol),
+        Check("h_roundtrip", h_defect, rt_tol),
+        Check("theta_roundtrip", t_defect, rt_tol),
     ]
     return sys, hs.shift, checks

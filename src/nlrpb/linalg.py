@@ -23,12 +23,7 @@ from .errors import ConvergenceError, ValidationError
 __all__ = [
     "SPD_GATE",
     "SymEig",
-    "as_matrix",
-    "as_square_pair",
-    "as_vector",
     "default_tolerance",
-    "effective_tolerance",
-    "freeze",
     "jacobi_eigh",
     "residual_norm",
     "spd_deficit",
@@ -68,14 +63,24 @@ def freeze(obj, **fields) -> None:
         object.__setattr__(obj, name, value)
 
 
-def as_matrix(value, name: str = "matrix") -> np.ndarray:
-    """Coerce ``value`` to a finite real 2-d float64 array (a copy)."""
+def _as_array(value, name: str, ndim: int) -> np.ndarray:
+    """Coerce ``value`` to a finite real nonempty ``ndim``-d float64 array (a copy)."""
     arr = np.array(value, dtype=float, order="C")
-    if arr.ndim != 2 or min(arr.shape) < 1:
-        raise ValidationError(f"{name}: expected a 2-d array, got shape {arr.shape}")
+    if arr.ndim != ndim or min(arr.shape) < 1:
+        raise ValidationError(f"{name}: expected a {ndim}-d array, got shape {arr.shape}")
     if not np.all(np.isfinite(arr)):
         raise ValidationError(f"{name}: entries must be finite")
     return arr
+
+
+def as_matrix(value, name: str = "matrix") -> np.ndarray:
+    """Coerce ``value`` to a finite real 2-d float64 array (a copy)."""
+    return _as_array(value, name, 2)
+
+
+def as_vector(value, name: str = "vector") -> np.ndarray:
+    """Coerce ``value`` to a finite real 1-d float64 array (a copy)."""
+    return _as_array(value, name, 1)
 
 
 def as_square_pair(what: str, x, y, names: tuple) -> tuple:
@@ -85,16 +90,6 @@ def as_square_pair(what: str, x, y, names: tuple) -> tuple:
     if x.shape[0] != x.shape[1] or x.shape != y.shape:
         raise ValidationError(f"{what}: need square matrices of equal size, got {x.shape}/{y.shape}")
     return x, y
-
-
-def as_vector(value, name: str = "vector") -> np.ndarray:
-    """Coerce ``value`` to a finite real 1-d float64 array (a copy)."""
-    arr = np.array(value, dtype=float, order="C")
-    if arr.ndim != 1 or arr.shape[0] < 1:
-        raise ValidationError(f"{name}: expected a 1-d array, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise ValidationError(f"{name}: entries must be finite")
-    return arr
 
 
 def residual_norm(a, b) -> float:

@@ -103,12 +103,6 @@ class TwoParamSpec:
         else:
             y = 1.0 / math.sqrt(delta - beta)
             w = -y
-        if not (math.isfinite(y) and math.isfinite(w)):
-            raise ValidationError("two-param family: y and w must be finite and nonzero")
-        if not abs(y * w * (beta - delta) - 1.0) <= 1e-12:
-            raise ValidationError(
-                f"two-param family: y*w*(beta-delta) must equal 1, got {y * w * (beta - delta)!r}"
-            )
         freeze(self, beta=beta, delta=delta, y=y, w=w)
         try:
             finite = all(map(math.isfinite, (self.eps1, 1.0 / beta, 1.0 / delta)))

@@ -26,20 +26,22 @@ n <= N-2 only, and ``commutator_defect`` rejects the top level.
 Each rule on the data is one function returning a ``Check``:
 ``eps_structure_check`` (eps[0] = 0 within 1e-12, every gap at least
 MIN_EPS_GAP), ``biorthonormality_check``, ``eigen_check`` (phi and eta
-as right and left eigenvectors of a given operator) and
-``commutator_check``.  ``build_system`` raises on the first two, and
-reports call the same functions, so a builder and a report cannot
+as right and left eigenvectors of a given operator),
+``commutator_check`` and ``stored_metrics_check`` (stored frame
+operators against the bases).  ``system_checks`` is the full verdict on
+a system with its ladders.  ``build_system`` raises on the first two,
+and reports call the same functions, so a builder and a report cannot
 disagree on a verdict.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ValidationError
-from .linalg import _TINY, as_square_pair, as_vector, effective_tolerance, freeze, jacobi_eigh, spd_deficit
+from .linalg import _TINY, as_square_pair, as_vector, effective_tolerance, freeze, jacobi_eigh, residual_norm, spd_deficit
 from .report import Check, VerificationReport, raise_first_failure
 
 __all__ = [
@@ -55,8 +57,9 @@ __all__ = [
     "commutator_defect",
     "eigen_check",
     "eps_structure_check",
-    "gap_deficit",
     "rescale",
+    "stored_metrics_check",
+    "system_checks",
     "verify_axioms",
 ]
 
@@ -74,7 +77,8 @@ _BUILD_FAILURES = {
 
 @dataclass(frozen=True)
 class BiorthogonalSystem:
-    """Spectrum ``eps`` plus row-stacked bases ``phi`` and ``eta``.
+    """Spectrum ``eps`` plus row-stacked bases ``phi`` and ``eta``; ``n`` is
+    the number of levels, len(eps).
 
     The dataclass only enforces shapes and finiteness; semantic
     validation (monotone eps, biorthonormality) happens in
@@ -82,17 +86,17 @@ class BiorthogonalSystem:
     deliberately broken data.
     """
 
-    n: int
     eps: np.ndarray
     phi: np.ndarray
     eta: np.ndarray
+    n: int = field(init=False)
 
     def __post_init__(self):
         eps = as_vector(self.eps, "eps")
         phi, eta = as_square_pair("system", self.phi, self.eta, ("phi", "eta"))
-        if not self.n == eps.shape[0] == phi.shape[0]:
-            raise ValidationError(f"system: n = {self.n} but eps has {eps.shape[0]} entries, bases {phi.shape}")
-        freeze(self, eps=eps, phi=phi, eta=eta)
+        if eps.shape[0] != phi.shape[0]:
+            raise ValidationError(f"system: eps has {eps.shape[0]} entries, bases {phi.shape}")
+        freeze(self, eps=eps, phi=phi, eta=eta, n=eps.shape[0])
 
 
 @dataclass(frozen=True)
@@ -130,13 +134,13 @@ def gap_deficit(values) -> float:
 def eps_structure_check(sys: BiorthogonalSystem) -> Check:
     """``eps_structure``: |eps[0]| <= 1e-12 and every gap >= MIN_EPS_GAP (tolerance 0)."""
     deficit = max(0.0, abs(float(sys.eps[0])) - _EPS0_TOL, gap_deficit(sys.eps))
-    return Check.from_residual("eps_structure", deficit, 0.0)
+    return Check("eps_structure", deficit, 0.0)
 
 
 def biorthonormality_check(sys: BiorthogonalSystem, tolerance=None) -> Check:
     """``p3_biorthonormality``: max |<phi_n, eta_m> - delta_nm|."""
     dev = float(np.abs(sys.phi @ sys.eta.T - np.eye(sys.n)).max())
-    return Check.from_residual("p3_biorthonormality", dev, effective_tolerance(sys.n, tolerance))
+    return Check("p3_biorthonormality", dev, effective_tolerance(sys.n, tolerance))
 
 
 def build_system(phi, eta, eps, tolerance=None) -> BiorthogonalSystem:
@@ -145,8 +149,7 @@ def build_system(phi, eta, eps, tolerance=None) -> BiorthogonalSystem:
     Raises unless ``eps_structure_check`` and ``biorthonormality_check``
     pass (tolerance default_tolerance(N) when not given).
     """
-    eps = as_vector(eps, "eps")
-    sys = BiorthogonalSystem(eps.shape[0], eps, phi, eta)
+    sys = BiorthogonalSystem(eps, phi, eta)
     checks = (eps_structure_check(sys), biorthonormality_check(sys, tolerance))
     raise_first_failure("build_system", checks, _BUILD_FAILURES)
     return sys
@@ -213,15 +216,13 @@ def verify_axioms(sys: BiorthogonalSystem, ladders: LadderPair, tolerance=None) 
     eye = np.eye(n)
 
     checks = (
-        Check.from_residual("p1_vacuum_phi", p1, tol),
-        Check.from_residual("p2_vacuum_eta", p2, tol),
+        Check("p1_vacuum_phi", p1, tol),
+        Check("p2_vacuum_eta", p2, tol),
         biorthonormality_check(sys, tol),
-        Check.from_residual("p3_ladder_relations", max(ladder_residuals), tol),
-        Check.from_residual("p4_resolution_of_identity", float(np.linalg.norm(phi.T @ eta - eye)), tol),
-        Check.from_residual("p5_frame_bounds", max(deficits), 0.0),
-        Check.from_residual(
-            "p5_metric_duality", float(np.linalg.norm(metrics.s_phi @ metrics.s_eta - eye)), tol
-        ),
+        Check("p3_ladder_relations", max(ladder_residuals), tol),
+        Check("p4_resolution_of_identity", float(np.linalg.norm(phi.T @ eta - eye)), tol),
+        Check("p5_frame_bounds", max(deficits), 0.0),
+        Check("p5_metric_duality", float(np.linalg.norm(metrics.s_phi @ metrics.s_eta - eye)), tol),
     )
     return VerificationReport(checks)
 
@@ -247,7 +248,28 @@ def commutator_defect(sys: BiorthogonalSystem, ladders: LadderPair, n: int) -> f
 def commutator_check(sys: BiorthogonalSystem, ladders: LadderPair, tolerance=None) -> Check:
     """``commutator_gaps``: the worst ``commutator_defect`` over levels 0..N-2 (0.0 when N = 1)."""
     worst = max((commutator_defect(sys, ladders, k) for k in range(sys.n - 1)), default=0.0)
-    return Check.from_residual("commutator_gaps", worst, effective_tolerance(sys.n, tolerance))
+    return Check("commutator_gaps", worst, effective_tolerance(sys.n, tolerance))
+
+
+def system_checks(sys: BiorthogonalSystem, ladders: LadderPair, m=None, tolerance=None) -> list:
+    """``verify_axioms``'s checks and ``commutator_check``, plus ``eigen_check``
+    when the operator ``m`` is known."""
+    checks = list(verify_axioms(sys, ladders, tolerance).checks)
+    checks.append(commutator_check(sys, ladders, tolerance))
+    if m is not None:
+        checks.append(eigen_check(sys, m, tolerance))
+    return checks
+
+
+def stored_metrics_check(sys: BiorthogonalSystem, s_phi, s_eta, tolerance=None) -> Check:
+    """``stored_metrics``: the larger of ||S_stored - S||_F / ||S||_F over the
+    two frame operators, S computed from the system's bases."""
+    metrics = build_metrics(sys)
+    worst = max(
+        residual_norm(stored, computed) / max(float(np.linalg.norm(computed)), _TINY)
+        for stored, computed in ((s_phi, metrics.s_phi), (s_eta, metrics.s_eta))
+    )
+    return Check("stored_metrics", worst, effective_tolerance(sys.n, tolerance))
 
 
 def eigen_check(sys: BiorthogonalSystem, m, tolerance=None) -> Check:
@@ -257,7 +279,7 @@ def eigen_check(sys: BiorthogonalSystem, m, tolerance=None) -> Check:
     left = np.linalg.norm(sys.phi @ m.T - eps * sys.phi, axis=1) / _row_norms(sys.phi)
     right = np.linalg.norm(sys.eta @ m - eps * sys.eta, axis=1) / _row_norms(sys.eta)
     worst = max(float(left.max()), float(right.max()))
-    return Check.from_residual("eigen_relations", worst, effective_tolerance(sys.n, tolerance))
+    return Check("eigen_relations", worst, effective_tolerance(sys.n, tolerance))
 
 
 def rescale(sys: BiorthogonalSystem, nu) -> BiorthogonalSystem:
@@ -271,4 +293,4 @@ def rescale(sys: BiorthogonalSystem, nu) -> BiorthogonalSystem:
         raise ValidationError(f"rescale: need {sys.n} factors, got {nu.shape[0]}")
     if np.any(nu <= 0.0):
         raise ValidationError("rescale: all factors must be positive")
-    return BiorthogonalSystem(sys.n, sys.eps, sys.phi / nu[:, None], sys.eta * nu[:, None])
+    return BiorthogonalSystem(sys.eps, sys.phi / nu[:, None], sys.eta * nu[:, None])

@@ -3,28 +3,28 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import ValidationError
+from .linalg import freeze
 
-__all__ = ["Check", "VerificationReport", "raise_first_failure"]
+__all__ = ["Check", "VerificationReport"]
 
 
 @dataclass(frozen=True)
 class Check:
-    """A single named residual compared against a tolerance."""
+    """A single named residual compared against a tolerance; it passes
+    iff the residual is finite and at most the tolerance."""
 
     name: str
     residual: float
     tolerance: float
-    passed: bool
+    passed: bool = field(init=False)
 
-    @classmethod
-    def from_residual(cls, name: str, residual: float, tolerance: float) -> "Check":
-        residual = float(residual)
-        tolerance = float(tolerance)
-        ok = math.isfinite(residual) and residual <= tolerance
-        return cls(name, residual, tolerance, ok)
+    def __post_init__(self):
+        residual = float(self.residual)
+        tolerance = float(self.tolerance)
+        freeze(self, residual=residual, tolerance=tolerance, passed=math.isfinite(residual) and residual <= tolerance)
 
     def to_dict(self) -> dict:
         return {

@@ -151,7 +151,7 @@ def system_from_dict(doc) -> BiorthogonalSystem:
     _require(len(eps) == n, f"eps must have {n} entries")
     phi = _rows_from(doc["phi"], n, "phi")
     eta = _rows_from(doc["eta"], n, "eta")
-    return BiorthogonalSystem(n, eps, phi, eta)
+    return BiorthogonalSystem(eps, phi, eta)
 
 
 def crypto_to_dict(pair: CryptoPair) -> dict:

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import math
 import os
@@ -8,6 +10,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nlrpb import serialize
 from nlrpb.cli import main
@@ -135,6 +139,12 @@ class TestModelCommand:
         assert len(lines) == 1
         assert lines[0].startswith("error: two-param family:")
 
+    def test_overflowing_parameter_difference_names_eps1(self, capsys):
+        assert main(["model", "two-param", "--beta", "1e308", "--delta=-1e308"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: two-param family: eps[1] = -(beta-delta)^2/(beta*delta)")
+
     @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
     def test_output_to_fifo_is_refused(self, capsys, tmp_path):
         fifo = tmp_path / "fifo"
@@ -229,6 +239,30 @@ class TestVerifyCommand:
         checks = checks_by_name(doc)
         assert checks["cryptohermiticity"]["pass"] is False
         assert "spectrum_min_gap" not in checks
+
+    def test_stored_metrics_read_zero_on_a_clean_artifact(self, capsys, tmp_path):
+        path = self.make_artifact(capsys, tmp_path, n=32)
+        rc, doc = run_json(capsys, ["verify", str(path)])
+        assert rc == 0
+        assert checks_by_name(doc)["stored_metrics"]["residual"] == 0.0
+
+    @pytest.mark.parametrize("tamper", ["entries", "scaled"])
+    def test_tampered_stored_metrics_fail(self, capsys, tmp_path, tamper):
+        path = self.make_artifact(capsys, tmp_path, n=32)
+        art = json.loads(path.read_text())
+        s_phi = art["matrices"]["s_phi"]["data"]
+        s_eta = art["matrices"]["s_eta"]["data"]
+        if tamper == "entries":
+            s_eta[0] += 1.0
+            s_phi[5] = -7.0
+        else:
+            s_eta[:] = [v * (1.0 + 1e-6) for v in s_eta]
+        path.write_text(json.dumps(art))
+        rc, doc = run_json(capsys, ["verify", str(path)])
+        assert rc == 1
+        checks = checks_by_name(doc)
+        assert checks["stored_metrics"]["pass"] is False
+        assert all(c["pass"] for name, c in checks.items() if name != "stored_metrics")
 
     def test_missing_file(self, capsys):
         assert main(["verify", "/no/such/file.json"]) == 3
@@ -445,6 +479,47 @@ AXIOMS = [
 ]
 
 
+class TestFloat64Overflow:
+    """Data whose float64 arithmetic overflows exits 2 with one error line."""
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["model", "two-param", "--beta=1e150", "--delta=-1e-150"],
+            ["model", "two-param", "--beta=1e-160", "--delta=-1e-160"],
+            ["model", "two-param", "--beta=1e-308", "--delta=-1"],
+            ["model", "two-param", "--beta=1e-150", "--delta=-1e150"],
+            ["model", "two-param", "--beta=1e-300", "--delta=-1"],
+            ["verify", "pair"],
+        ],
+    )
+    def test_overflow_is_invalid(self, capsys, tmp_path, argv):
+        pair = tmp_path / "pair.json"
+        serialize.write_document(pair, serialize.crypto_to_dict(CryptoPair([[1e200, 1.0], [1.0, 2e200]], np.eye(2))))
+        assert main([str(pair) if arg == "pair" else arg for arg in argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("error: ")
+
+    @settings(deadline=None, max_examples=300)
+    @given(st.floats(allow_nan=False, allow_infinity=False), st.floats(allow_nan=False, allow_infinity=False))
+    def test_two_param_exit_is_honest_for_every_double(self, beta, delta):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            rc = main(["model", "two-param", f"--beta={beta!r}", f"--delta={delta!r}"])
+        assert rc in (0, 1, 2)
+        if rc == 2:
+            assert out.getvalue() == ""
+            lines = err.getvalue().splitlines()
+            assert len(lines) == 1 and lines[0].startswith("error: ")
+        else:
+            assert err.getvalue() == ""
+            assert json.loads(out.getvalue())["pass"] is (rc == 0)
+
+
 class TestCheckSets:
     """Each report's full sorted list of (check, tolerance) per section is pinned."""
 
@@ -491,7 +566,12 @@ class TestCheckSets:
                         "axioms",
                         sorted(
                             AXIOMS
-                            + [("commutator_gaps", 1e-10), ("eigen_relations", 1e-10), ("eps_structure", 0.0)]
+                            + [
+                                ("commutator_gaps", 1e-10),
+                                ("eigen_relations", 1e-10),
+                                ("eps_structure", 0.0),
+                                ("stored_metrics", 1e-10),
+                            ]
                         ),
                     )
                 ],

@@ -37,12 +37,12 @@ class TestBiorthogonalSystem:
 
     def test_rejects_shape_mismatch(self):
         with pytest.raises(ValidationError):
-            BiorthogonalSystem(2, np.zeros(2), np.eye(3), np.eye(2))
+            BiorthogonalSystem(np.zeros(2), np.eye(3), np.eye(2))
 
     def test_rejects_nan(self):
         eps = np.array([0.0, float("nan")])
         with pytest.raises(ValidationError):
-            BiorthogonalSystem(2, eps, np.eye(2), np.eye(2))
+            BiorthogonalSystem(eps, np.eye(2), np.eye(2))
 
 
 class TestBuildSystem:
@@ -103,7 +103,7 @@ class TestBuildLadders:
         assert float(np.linalg.norm(lad.a @ sys.phi[0])) < 1e-13
 
     def test_rejects_negative_eps(self):
-        broken = BiorthogonalSystem(2, np.array([0.0, -1.0]), np.eye(2), np.eye(2))
+        broken = BiorthogonalSystem(np.array([0.0, -1.0]), np.eye(2), np.eye(2))
         with pytest.raises(ValidationError, match="nonnegative"):
             build_ladders(broken)
 
@@ -168,7 +168,7 @@ class TestVerifyAxioms:
     def test_frame_gate_ignores_tolerance_override(self):
         # degenerate data: duplicated phi rows give a singular frame operator
         broken = BiorthogonalSystem(
-            2, np.array([0.0, 1.0]), np.array([[1.0, 0.0], [1.0, 0.0]]), np.eye(2)
+            np.array([0.0, 1.0]), np.array([[1.0, 0.0], [1.0, 0.0]]), np.eye(2)
         )
         rep = verify_axioms(broken, build_ladders(broken), tolerance=10.0)
         assert not rep["p5_frame_bounds"].passed
