@@ -31,7 +31,7 @@ from . import serialize
 from .cryptoherm import crypto_roundtrip, hermitize, hermitized_checks, nlrpb_roundtrip
 from .errors import ConvergenceError, SchemaError, ValidationError
 from .linalg import _TINY, jacobi_eigh
-from .models import ChebyshevSpec, TwoParamSpec, chebyshev_model, chebyshev_paper_normalization, two_param_model
+from .models import ChebyshevSpec, TwoParamSpec, chebyshev_model, chebyshev_paper_normalization, stored_params_check, two_param_model
 from .pseudoboson import (
     LadderPair,
     biorthonormality_check,
@@ -167,14 +167,13 @@ def resolve_tolerance(args):
 
 def _metric_scalars(system) -> dict:
     lam = jacobi_eigh(build_metrics(system).s_eta).eigenvalues
-    lam_min = float(lam[0])
-    lam_max = float(lam[-1])
     return scalars_section(
         "frame operator s_eta",
         {
-            "lambda_min": lam_min,
-            "lambda_max": lam_max,
-            "condition_number": lam_max / max(lam_min, _TINY),
+            "lambda_min": lam[0],
+            "lambda_max": lam[-1],
+            # float64 division, so an overflow raises under main's errstate
+            "condition_number": lam[-1] / np.maximum(lam[0], _TINY),
         },
     )
 
@@ -232,10 +231,13 @@ def _cmd_verify(args) -> int:
             sections.append(scalars_section("hermitized", {"shift": hs.shift}))
     else:
         if kind == "artifact":
-            _, _, system, mats = serialize.model_artifact_from_dict(doc_in)
+            family, params, system, mats = serialize.model_artifact_from_dict(doc_in)
             ladders = LadderPair(mats["a"], mats["b"])
             m = mats["m"]
-            checks = [stored_metrics_check(system, mats["s_phi"], mats["s_eta"], tol)]
+            checks = [
+                stored_metrics_check(system, mats["s_phi"], mats["s_eta"], tol),
+                stored_params_check(family, params, system, tol),
+            ]
         else:
             system = serialize.system_from_dict(doc_in)
             ladders = m = None

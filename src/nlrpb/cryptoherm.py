@@ -38,6 +38,7 @@ from .linalg import (
     as_square_pair,
     effective_tolerance,
     freeze,
+    frobenius_norm,
     jacobi_eigh,
     residual_norm,
     spd_deficit,
@@ -119,12 +120,13 @@ def verify_chwrt(h_matrix, theta, tolerance=None) -> VerificationReport:
     h, t = pair.h_matrix, pair.theta
     tol = effective_tolerance(h.shape[0], tolerance)
 
-    sym_defect = max(0.0, residual_norm(t, t.T) - _METRIC_SYM_RTOL * max(float(np.linalg.norm(t)), 1.0))
+    sym_defect = max(0.0, residual_norm(t, t.T) - _METRIC_SYM_RTOL * max(float(frobenius_norm(t)), 1.0))
     lam = jacobi_eigh((t + t.T) / 2.0).eigenvalues
     metric_residual = max(sym_defect, spd_deficit(lam))
 
     th = t @ h
-    crypto_residual = residual_norm(th, h.T @ t) / max(float(np.linalg.norm(th)), _TINY)
+    # float64 division, so an overflow raises under the CLI's errstate
+    crypto_residual = residual_norm(th, h.T @ t) / np.maximum(frobenius_norm(th), _TINY)
 
     return VerificationReport(
         (
@@ -151,7 +153,7 @@ def hermitized_checks(h_matrix, theta, tolerance=None):
     checks = list(rep.checks)
     n = h.shape[0]
     raw = spd_sqrt(t) @ h @ spd_inv_sqrt(t)
-    asym = residual_norm(raw, raw.T) / max(float(np.linalg.norm(raw)), 1.0)
+    asym = residual_norm(raw, raw.T) / max(float(frobenius_norm(raw)), 1.0)
     sym = (raw + raw.T) / 2.0
     eig = jacobi_eigh(sym)
     lam = eig.eigenvalues
@@ -202,7 +204,7 @@ def _line_cosine_defect(sys_a: BiorthogonalSystem, sys_b: BiorthogonalSystem) ->
     worst = 0.0
     for rows_a, rows_b in ((sys_a.phi, sys_b.phi), (sys_a.eta, sys_b.eta)):
         dots = np.abs(np.sum(rows_a * rows_b, axis=1))
-        norms = np.linalg.norm(rows_a, axis=1) * np.linalg.norm(rows_b, axis=1)
+        norms = frobenius_norm(rows_a, axis=1) * frobenius_norm(rows_b, axis=1)
         worst = max(worst, float((1.0 - dots / np.maximum(norms, _TINY)).max()))
     return worst
 
@@ -230,8 +232,8 @@ def crypto_roundtrip(pair: CryptoPair, tolerance=None):
     sys, _ = from_crypto(h, t, tolerance)
     hs = hermitize(h, t, tolerance)
     back = from_nlrpb(sys)
-    h_defect = residual_norm(back.h_matrix, h - hs.shift * np.eye(sys.n)) / max(float(np.linalg.norm(h)), 1.0)
-    t_defect = residual_norm(back.theta, t) / max(float(np.linalg.norm(t)), _TINY)
+    h_defect = residual_norm(back.h_matrix, h - hs.shift * np.eye(sys.n)) / max(float(frobenius_norm(h)), 1.0)
+    t_defect = residual_norm(back.theta, t) / max(float(frobenius_norm(t)), _TINY)
     checks = [
         Check("h_roundtrip", h_defect, rt_tol),
         Check("theta_roundtrip", t_defect, rt_tol),

@@ -14,6 +14,7 @@ in the same change.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -92,6 +93,41 @@ def as_square_pair(what: str, x, y, names: tuple) -> tuple:
     return x, y
 
 
+def _sum_of_squares(x: np.ndarray, axis):
+    if axis is None:
+        flat = x.ravel(order="K")  # np.linalg.norm's summation order
+        return flat.dot(flat)
+    return np.add.reduce(x * x, axis=axis)
+
+
+def frobenius_norm(x, axis=None):
+    """Frobenius norm of ``x`` (the 2-norm for a vector); with ``axis``, the
+    2-norms along that axis (``axis=1``: one per row).
+
+    Bit for bit ``np.linalg.norm(x, axis=axis)`` whenever the sum of squares
+    is finite.  Where it overflows, the norm is max|x| ||x / max|x|||, which
+    stays finite for entries near the float64 range when the norm itself is
+    representable.  The overflow is seen as an infinite sum, or as the
+    FloatingPointError that ``np.errstate(over="raise")`` makes of it (the
+    CLI's setting); numpy's default setting also warns of it.  An infinite
+    entry gives an infinite norm, as it does in numpy.
+    """
+    x = np.asarray(x, dtype=float)
+    try:
+        squares = _sum_of_squares(x, axis)
+        if (squares if axis is None else squares.max(initial=0.0)) < math.inf:
+            return np.sqrt(squares)
+    except FloatingPointError:
+        pass
+    with np.errstate(over="ignore"):
+        squares = _sum_of_squares(x, axis)
+    scale = np.maximum(np.abs(x).max(axis=axis, keepdims=True), _TINY)
+    with np.errstate(invalid="ignore"):  # inf / inf where an entry is infinite
+        scaled = scale * np.sqrt(np.add.reduce((x / scale) ** 2, axis=axis, keepdims=True))
+    scaled = np.where(np.isinf(scale), np.inf, scaled)
+    return np.where(np.isinf(squares), scaled.reshape(np.shape(squares)), np.sqrt(squares))
+
+
 def residual_norm(a, b) -> float:
     """Frobenius norm of ``a - b`` (the 2-norm for vectors)."""
     a = np.asarray(a, dtype=float)
@@ -100,7 +136,7 @@ def residual_norm(a, b) -> float:
         raise ValidationError(f"residual_norm: shapes differ ({a.shape} vs {b.shape})")
     if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
         raise ValidationError("residual_norm: entries must be finite")
-    return float(np.linalg.norm(a - b))
+    return float(frobenius_norm(a - b))
 
 
 @dataclass(frozen=True)
@@ -141,7 +177,7 @@ def jacobi_eigh(a) -> SymEig:
     n, m = a.shape
     if n != m:
         raise ValidationError(f"jacobi_eigh: matrix must be square, got {a.shape}")
-    norm = float(np.linalg.norm(a))
+    norm = float(frobenius_norm(a))
     if residual_norm(a, a.T) > _SYM_RTOL * max(norm, 1.0):
         raise ValidationError("jacobi_eigh: matrix is not symmetric within tolerance")
     s = (a + a.T) / 2.0

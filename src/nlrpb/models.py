@@ -38,14 +38,16 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ValidationError
-from .linalg import freeze
+from .linalg import _TINY, effective_tolerance, freeze
 from .pseudoboson import BiorthogonalSystem, build_system
+from .report import Check
 
 __all__ = [
     "ChebyshevSpec",
     "TwoParamSpec",
     "chebyshev_model",
     "chebyshev_paper_normalization",
+    "stored_params_check",
     "two_param_model",
 ]
 
@@ -73,6 +75,13 @@ class ChebyshevSpec:
             raise ValidationError(f"chebyshev family: size {n} is too large for an N x N float64 array")
         freeze(self, n=n, z=float(-2.0 * np.cos((n - 0.5) * np.pi / n)))
 
+    @property
+    def eps(self) -> np.ndarray:
+        """Spectrum 2 x + Z minus its first entry, which pins eps[0] to
+        exactly 0 in floating point."""
+        eps = 2.0 * _chebyshev_nodes(self.n) + self.z
+        return eps - eps[0]
+
 
 @dataclass(frozen=True)
 class TwoParamSpec:
@@ -83,6 +92,7 @@ class TwoParamSpec:
     delta: float
     y: float = field(init=False)
     w: float = field(init=False)
+    n = 2  # levels; a class attribute, not a field
 
     def __post_init__(self):
         beta = float(self.beta)
@@ -118,6 +128,38 @@ class TwoParamSpec:
     def eps1(self) -> float:
         return -((self.beta - self.delta) ** 2) / (self.beta * self.delta)
 
+    @property
+    def eps(self) -> np.ndarray:
+        return np.array([0.0, self.eps1])
+
+
+#: Each family's spec and the params it is built from; the other stored
+#: params (z, y, w) are derived.
+_FAMILIES = {"chebyshev": (ChebyshevSpec, ("n",)), "two-param": (TwoParamSpec, ("beta", "delta"))}
+
+
+def stored_params_check(family: str, params: dict, sys: BiorthogonalSystem, tolerance=None) -> Check:
+    """``stored_params``: max |eps - eps_spec| / max(eps_spec), eps_spec the
+    spectrum of the spec that ``_FAMILIES[family]`` builds from ``params``.
+
+    The residual is 1.0 when those params are missing or not numbers, the
+    spec rejects them, or its model has another number of levels than
+    ``sys``.
+    """
+    spec_type, keys = _FAMILIES[family]
+    values = [params.get(key) for key in keys]
+    residual = 1.0
+    # Exact types: a spec takes bools and numeric strings too, and raises TypeError on containers.
+    if all(type(v) in (int, float) for v in values):
+        try:
+            spec = spec_type(*values)
+        except ValidationError:
+            spec = None
+        if spec is not None and spec.n == sys.n:
+            ref = spec.eps
+            residual = float(np.abs(sys.eps - ref).max() / max(float(ref[-1]), _TINY))
+    return Check("stored_params", residual, effective_tolerance(sys.n, tolerance))
+
 
 def two_param_model(beta, delta):
     """(A, B, system) for the two-parameter family.
@@ -129,15 +171,12 @@ def two_param_model(beta, delta):
     beta, delta, y, w = spec.beta, spec.delta, spec.y, spec.w
     a_mat = np.array([[-1.0, beta], [-1.0 / beta, 1.0]])
     b_mat = np.array([[-1.0, delta], [-1.0 / delta, 1.0]])
-    eps1 = spec.eps1
-    root = math.sqrt(eps1)
+    root = math.sqrt(spec.eps1)
     phi0 = y * np.array([beta, 1.0])
     eta0 = w * np.array([1.0, -delta])
     phi1 = (b_mat @ phi0) / root
     eta1 = (a_mat.T @ eta0) / root
-    sys = build_system(
-        np.array([phi0, phi1]), np.array([eta0, eta1]), np.array([0.0, eps1])
-    )
+    sys = build_system(np.array([phi0, phi1]), np.array([eta0, eta1]), spec.eps)
     return a_mat, b_mat, sys
 
 
@@ -153,11 +192,7 @@ def _chebyshev_rows(count: int, x: np.ndarray) -> np.ndarray:
 
 
 def chebyshev_model(n: int):
-    """(M, system) for the Chebyshev family of size n >= 2.
-
-    eps is computed as (2 x + Z) minus its first entry, which pins
-    eps[0] to exactly 0 in floating point.
-    """
+    """(M, system) for the Chebyshev family of size n >= 2."""
     spec = ChebyshevSpec(n)
     n = spec.n
     z = spec.z
@@ -172,9 +207,7 @@ def chebyshev_model(n: int):
     # p3_biorthonormality bounds the off-diagonal pairings
     phi = phi_raw / np.diag(phi_raw @ eta_raw.T)[:, None]
     eta = eta_raw
-    eps = 2.0 * x + z
-    eps = eps - eps[0]
-    sys = build_system(phi, eta, eps)
+    sys = build_system(phi, eta, spec.eps)
     return m, sys
 
 

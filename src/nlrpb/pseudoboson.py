@@ -41,7 +41,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ValidationError
-from .linalg import _TINY, as_square_pair, as_vector, effective_tolerance, freeze, jacobi_eigh, residual_norm, spd_deficit
+from .linalg import _TINY, as_square_pair, as_vector, effective_tolerance, freeze, frobenius_norm, jacobi_eigh, residual_norm, spd_deficit
 from .report import Check, VerificationReport, raise_first_failure
 
 __all__ = [
@@ -171,7 +171,7 @@ def build_metrics(sys: BiorthogonalSystem) -> MetricPair:
 
 
 def _row_norms(mat: np.ndarray) -> np.ndarray:
-    return np.maximum(np.linalg.norm(mat, axis=1), _TINY)
+    return np.maximum(frobenius_norm(mat, axis=1), _TINY)
 
 
 def verify_axioms(sys: BiorthogonalSystem, ladders: LadderPair, tolerance=None) -> VerificationReport:
@@ -191,8 +191,8 @@ def verify_axioms(sys: BiorthogonalSystem, ladders: LadderPair, tolerance=None) 
     neta = _row_norms(eta)
     root = np.sqrt(np.clip(eps, 0.0, None))
 
-    p1 = float(np.linalg.norm(a @ phi[0]) / nphi[0])
-    p2 = float(np.linalg.norm(b.T @ eta[0]) / neta[0])
+    p1 = float(frobenius_norm(a @ phi[0]) / nphi[0])
+    p2 = float(frobenius_norm(b.T @ eta[0]) / neta[0])
 
     ladder_residuals = [0.0]
     if n > 1:
@@ -204,10 +204,10 @@ def verify_axioms(sys: BiorthogonalSystem, ladders: LadderPair, tolerance=None) 
         # the transposes act dually on eta.
         ladder_residuals.extend(
             [
-                float((np.linalg.norm(aphi[1:] - root[1:, None] * phi[:-1], axis=1) / nphi[1:]).max()),
-                float((np.linalg.norm(bphi[:-1] - root[1:, None] * phi[1:], axis=1) / nphi[:-1]).max()),
-                float((np.linalg.norm(ateta[:-1] - root[1:, None] * eta[1:], axis=1) / neta[:-1]).max()),
-                float((np.linalg.norm(bteta[1:] - root[1:, None] * eta[:-1], axis=1) / neta[1:]).max()),
+                float((frobenius_norm(aphi[1:] - root[1:, None] * phi[:-1], axis=1) / nphi[1:]).max()),
+                float((frobenius_norm(bphi[:-1] - root[1:, None] * phi[1:], axis=1) / nphi[:-1]).max()),
+                float((frobenius_norm(ateta[:-1] - root[1:, None] * eta[1:], axis=1) / neta[:-1]).max()),
+                float((frobenius_norm(bteta[1:] - root[1:, None] * eta[:-1], axis=1) / neta[1:]).max()),
             ]
         )
 
@@ -220,9 +220,9 @@ def verify_axioms(sys: BiorthogonalSystem, ladders: LadderPair, tolerance=None) 
         Check("p2_vacuum_eta", p2, tol),
         biorthonormality_check(sys, tol),
         Check("p3_ladder_relations", max(ladder_residuals), tol),
-        Check("p4_resolution_of_identity", float(np.linalg.norm(phi.T @ eta - eye)), tol),
+        Check("p4_resolution_of_identity", float(frobenius_norm(phi.T @ eta - eye)), tol),
         Check("p5_frame_bounds", max(deficits), 0.0),
-        Check("p5_metric_duality", float(np.linalg.norm(metrics.s_phi @ metrics.s_eta - eye)), tol),
+        Check("p5_metric_duality", float(frobenius_norm(metrics.s_phi @ metrics.s_eta - eye)), tol),
     )
     return VerificationReport(checks)
 
@@ -242,7 +242,7 @@ def commutator_defect(sys: BiorthogonalSystem, ladders: LadderPair, n: int) -> f
     gap = float(sys.eps[n + 1] - sys.eps[n])
     phi_n = sys.phi[n]
     res = comm @ phi_n - gap * phi_n
-    return float(np.linalg.norm(res) / max(np.linalg.norm(phi_n), _TINY))
+    return float(frobenius_norm(res) / max(frobenius_norm(phi_n), _TINY))
 
 
 def commutator_check(sys: BiorthogonalSystem, ladders: LadderPair, tolerance=None) -> Check:
@@ -265,8 +265,9 @@ def stored_metrics_check(sys: BiorthogonalSystem, s_phi, s_eta, tolerance=None) 
     """``stored_metrics``: the larger of ||S_stored - S||_F / ||S||_F over the
     two frame operators, S computed from the system's bases."""
     metrics = build_metrics(sys)
+    # float64 division, so an overflow raises under the CLI's errstate
     worst = max(
-        residual_norm(stored, computed) / max(float(np.linalg.norm(computed)), _TINY)
+        residual_norm(stored, computed) / np.maximum(frobenius_norm(computed), _TINY)
         for stored, computed in ((s_phi, metrics.s_phi), (s_eta, metrics.s_eta))
     )
     return Check("stored_metrics", worst, effective_tolerance(sys.n, tolerance))
@@ -276,8 +277,8 @@ def eigen_check(sys: BiorthogonalSystem, m, tolerance=None) -> Check:
     """``eigen_relations``: m phi_n = eps[n] phi_n and m^T eta_n = eps[n] eta_n,
     relative to the norms of the vectors."""
     eps = sys.eps[:, None]
-    left = np.linalg.norm(sys.phi @ m.T - eps * sys.phi, axis=1) / _row_norms(sys.phi)
-    right = np.linalg.norm(sys.eta @ m - eps * sys.eta, axis=1) / _row_norms(sys.eta)
+    left = frobenius_norm(sys.phi @ m.T - eps * sys.phi, axis=1) / _row_norms(sys.phi)
+    right = frobenius_norm(sys.eta @ m - eps * sys.eta, axis=1) / _row_norms(sys.eta)
     worst = max(float(left.max()), float(right.max()))
     return Check("eigen_relations", worst, effective_tolerance(sys.n, tolerance))
 

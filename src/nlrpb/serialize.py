@@ -21,34 +21,52 @@ Model artifact::
      "matrices": {"m": Matrix, "a": Matrix, "b": Matrix,
                   "s_phi": Matrix, "s_eta": Matrix}}
 
-Schema violations raise SchemaError, malformed files included.  Number
-lists are checked in bulk: an exact int/float type test, one numpy
-conversion and one finiteness test; only a list that fails is walked
-entry by entry, to name its first bad index.
+Input is parsed by orjson, from the file's bytes in one call.  Schema
+violations raise SchemaError, malformed files included.  Number lists
+are checked in bulk: an exact int/float type test, one numpy conversion
+and one finiteness test.  The rows of ``phi`` and ``eta`` are checked as
+one block the same way, after one pass over the row lengths.  Only a
+list or block that fails is walked entry by entry, to name its first bad
+index, such as ``phi[i][j]``.
+
+orjson reads strict JSON, so some input fails at parsing that the stdlib
+``json`` module parsed: NaN and Infinity literals, numbers beyond the
+float64 range and lone surrogate escapes such as ``\\ud800``.  The schema
+rejected these only in a field it reads; in any other field, such as an
+unknown key, they now make the file malformed too.  Integer literals
+beyond 64 bits are read as floats, which the float entries become anyway
+and which ``n``, ``rows`` and ``cols`` reject.
 
 ``dumps`` writes the same text as ``json.dumps(obj, indent=2,
-allow_nan=False)`` byte for byte.  The stdlib falls back to its
-pure-Python encoder whenever ``indent`` is set, one call per float;
-here each list of floats is joined in one step instead.  Floats use the
-shortest repr, so they round-trip exactly.  Writes go to a temp file
-next to the target followed by os.replace, so readers never observe
-partial documents.
+allow_nan=False)`` byte for byte; orjson is not used for output, because
+its float text differs from ``repr`` (``9.356110258711765e-05`` becomes
+``0.00009356110258711765``, ``1e+16`` becomes ``1e16``).  The stdlib
+falls back to its pure-Python encoder whenever ``indent`` is set, one
+call per float; here each list of floats is joined in one step instead.
+Floats use the shortest repr, so they round-trip exactly.  Writes go to
+a temp file next to the target followed by os.replace, so readers never
+observe partial documents.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import os
+import re
 import tempfile
 
 import numpy as np
+import orjson
 
 from .cryptoherm import CryptoPair
 from .errors import SchemaError
+from .models import _FAMILIES
 from .pseudoboson import BiorthogonalSystem
 
 __all__ = [
+    "MAX_DEPTH",
     "crypto_from_dict",
     "crypto_to_dict",
     "detect_kind",
@@ -64,6 +82,14 @@ __all__ = [
 ]
 
 _ARTIFACT_MATRICES = ("m", "a", "b", "s_phi", "s_eta")
+
+#: Deepest nesting of arrays and objects that load_document accepts; nlrpb
+#: documents nest 4 deep.  orjson 3.8 builds nested containers by recursion
+#: on the C stack with no limit of its own, and a valid document nested
+#: about 80,000 deep (8 MB stack) crashes the process.
+MAX_DEPTH = 1024
+_STRING = re.compile(rb'"(?:[^"\\]+|\\.)*"?', re.DOTALL)  # unterminated: to the end
+_NOT_BRACKETS = bytes(sorted(set(range(256)) - set(b"[]{}")))
 
 _encode_str = json.encoder.encode_basestring_ascii  # the C escaper json.dumps uses
 
@@ -83,17 +109,26 @@ def _as_float(value, name: str) -> float:
     return value
 
 
-def _as_float_list(values, name: str) -> np.ndarray:
-    _require(isinstance(values, list), f"{name} must be a list")
+def _bulk_floats(values, entries):
+    """``values`` as a float array if each of ``entries`` is an exact int or
+    float and every result is finite; None otherwise, for the caller to
+    walk the entries and name the first bad one."""
     # Exact types: numpy would also convert bool and numeric strings.
-    if set(map(type, values)) <= {int, float}:
+    if set(map(type, entries)) <= {int, float}:
         try:
             arr = np.array(values, dtype=float)
-        except OverflowError:  # an int beyond the float range, named below
-            pass
-        else:
-            if np.isfinite(arr).all():
-                return arr
+        except OverflowError:  # an int beyond the float range
+            return None
+        if np.isfinite(arr).all():
+            return arr
+    return None
+
+
+def _as_float_list(values, name: str) -> np.ndarray:
+    _require(isinstance(values, list), f"{name} must be a list")
+    arr = _bulk_floats(values, values)
+    if arr is not None:
+        return arr
     return np.array([_as_float(v, f"{name}[{i}]") for i, v in enumerate(values)], dtype=float)
 
 
@@ -104,6 +139,10 @@ def _as_positive_int(value, name: str) -> int:
 
 def _rows_from(doc, n: int, name: str) -> np.ndarray:
     _require(isinstance(doc, list) and len(doc) == n, f"{name} must be a list of {n} rows")
+    if all(type(row) is list and len(row) == n for row in doc):
+        arr = _bulk_floats(doc, itertools.chain.from_iterable(doc))
+        if arr is not None:
+            return arr
     rows = []
     for i, row in enumerate(doc):
         vals = _as_float_list(row, f"{name}[{i}]")
@@ -177,11 +216,13 @@ def model_artifact_to_dict(family: str, params: dict, sys: BiorthogonalSystem, m
 
 
 def model_artifact_from_dict(doc):
-    """Returns (family, params, system, matrices)."""
+    """Returns (family, params, system, matrices); whether ``params`` describe
+    the system is ``models.stored_params_check``'s verdict."""
     _require(isinstance(doc, dict), "artifact document must be an object")
     _require({"family", "params", "system", "matrices"} <= set(doc), "artifact document needs family/params/system/matrices")
     family = doc["family"]
-    _require(family in ("chebyshev", "two-param"), f"unknown family {family!r}")
+    _require(isinstance(family, str), "family must be a string")
+    _require(family in _FAMILIES, f"unknown family {family!r}")
     _require(isinstance(doc["params"], dict), "params must be an object")
     sys = system_from_dict(doc["system"])
     mats_doc = doc["matrices"]
@@ -256,17 +297,34 @@ def dumps(obj) -> str:
     return _encode(obj, "\n")
 
 
-def load_document(path):
-    """Parse a JSON file; malformed JSON raises SchemaError, I/O errors propagate.
+def _nesting_depth(data: bytes) -> int:
+    """Deepest nesting of arrays and objects in JSON text, brackets inside
+    strings not counted (exact for valid JSON)."""
+    brackets = np.frombuffer(_STRING.sub(b"", data).translate(None, _NOT_BRACKETS), np.uint8)
+    return int(np.cumsum(np.where((brackets | 32) == ord("{"), 1, -1)).max(initial=0))
 
-    Malformed covers bad syntax, bytes that are not UTF-8, integer literals
-    over the interpreter's digit limit and nesting beyond the recursion limit.
+
+def load_document(path):
+    """Parse a JSON file with orjson; malformed JSON raises SchemaError, I/O
+    errors propagate.
+
+    Malformed covers bad syntax, bytes that are not UTF-8, a UTF-8 BOM,
+    NaN and Infinity literals, numbers beyond the float64 range, lone
+    surrogate escapes and nesting deeper than MAX_DEPTH.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            return json.load(fh)
-        except (ValueError, RecursionError) as exc:
-            raise SchemaError(f"{path}: not valid JSON ({exc})") from exc
+    with open(path, "rb") as fh:
+        data = fh.read()
+    # b"[" | 32 is b"{".  With at most MAX_DEPTH of these bytes no nesting
+    # is deeper, and the exact scan is skipped: it costs about 1 ms per
+    # 800 KB, against 0.2 ms for this count, and scanning every document
+    # made perfbench's reject-mix (N=64) 6% slower in verdicts per second.
+    opens = np.count_nonzero((np.frombuffer(data, np.uint8) | 32) == ord("{"))
+    if opens > MAX_DEPTH and _nesting_depth(data) > MAX_DEPTH:
+        raise SchemaError(f"{path}: arrays and objects nested deeper than {MAX_DEPTH} levels")
+    try:
+        return orjson.loads(data)
+    except orjson.JSONDecodeError as exc:
+        raise SchemaError(f"{path}: not valid JSON ({exc})") from exc
 
 
 def write_document(path, obj) -> None:

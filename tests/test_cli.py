@@ -185,6 +185,33 @@ class TestVerifyCommand:
         assert checks["p3_ladder_relations"]["pass"] is False
         assert checks["p3_biorthonormality"]["pass"] is True
 
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            {"family": "two-param", "params": {"n": 7, "z": -3}},
+            {"params": {"n": 1}},
+        ],
+        ids=["other-family-and-size", "spec-rejects"],
+    )
+    def test_params_that_do_not_describe_the_system_fail(self, capsys, tmp_path, edit):
+        path = self.make_artifact(capsys, tmp_path, n=5)
+        art = json.loads(path.read_text())
+        art.update(edit)
+        path.write_text(json.dumps(art))
+        rc, doc = run_json(capsys, ["verify", str(path)])
+        assert rc == 1
+        checks = checks_by_name(doc)
+        assert checks["stored_params"]["residual"] == 1.0
+        assert all(c["pass"] for name, c in checks.items() if name != "stored_params")
+
+    def test_two_param_artifact_params_pass(self, capsys, tmp_path):
+        path = tmp_path / "tp.json"
+        assert main(["model", "two-param", "--beta", "0.4", "--delta=-2.2", "-o", str(path)]) == 0
+        capsys.readouterr()
+        rc, doc = run_json(capsys, ["verify", str(path)])
+        assert rc == 0
+        assert checks_by_name(doc)["stored_params"]["residual"] == 0.0
+
     def test_bare_system_passes(self, capsys, tmp_path):
         path = tmp_path / "sys.json"
         serialize.write_document(path, serialize.system_to_dict(chebyshev_paper_normalization(3)))
@@ -280,8 +307,27 @@ class TestVerifyCommand:
             b"[" * 100_000 + b"]" * 100_000,
             b'{"h_matrix": {"rows": 2, "cols": 2, "data": [1.0, 0.0, 0.0, 1' + b"0" * 400 + b"]}, "
             b'"theta": {"rows": 2, "cols": 2, "data": [1.0, 0.0, 0.0, 1.0]}}',
+            b'{"n": 1, "eps": [NaN], "phi": [[1.0]], "eta": [[1.0]]}',
+            b'{"n": 1, "eps": [0.0], "phi": [[Infinity]], "eta": [[1.0]]}',
+            b'{"n": 1, "eps": [0.0], "phi": [[1e400]], "eta": [[1.0]]}',
+            b'{"n": 1, "eps": [0.0], "phi": [[1.0]], "eta": [[1.0]], "note": "\\ud800"}',
+            b'\xef\xbb\xbf{"n": 1, "eps": [0.0], "phi": [[1.0]], "eta": [[1.0]]}',
+            b'{"n": 1, "eps": [0.0], "phi": [[1.0]], "eta": [[1.0]], "x": ' + b"[" * 2000 + b"]" * 2000 + b"}",
+            b'{"x": ' * 100_000 + b"1" + b"}" * 100_000,
         ],
-        ids=["non-utf8", "int-digit-limit", "deep-nesting", "int-beyond-float"],
+        ids=[
+            "non-utf8",
+            "int-digit-limit",
+            "deep-nesting",
+            "int-beyond-float",
+            "nan-literal",
+            "infinity-literal",
+            "float-beyond-range",
+            "lone-surrogate",
+            "utf8-bom",
+            "nesting-2000",
+            "deep-objects",
+        ],
     )
     def test_unparseable_input_is_parse_error(self, capsys, tmp_path, content):
         path = tmp_path / "bad.json"
@@ -495,14 +541,49 @@ class TestFloat64Overflow:
         ],
     )
     def test_overflow_is_invalid(self, capsys, tmp_path, argv):
+        # ||H||_F is about 1.97e308, beyond the float64 range
         pair = tmp_path / "pair.json"
-        serialize.write_document(pair, serialize.crypto_to_dict(CryptoPair([[1e200, 1.0], [1.0, 2e200]], np.eye(2))))
+        serialize.write_document(pair, serialize.crypto_to_dict(CryptoPair([[1e308, 1.0], [1.0, 1.7e308]], np.eye(2))))
         assert main([str(pair) if arg == "pair" else arg for arg in argv]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         lines = captured.err.splitlines()
         assert len(lines) == 1
         assert lines[0].startswith("error: ")
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            # Theta H = 0 and H^T Theta != 0: the relative residual is beyond the float64 range
+            {"h_matrix": {"rows": 2, "cols": 2, "data": [1e10, 0.0, 1e10, 0.0]},
+             "theta": {"rows": 2, "cols": 2, "data": [1.0, -1.0, 0.0, 0.0]}},
+            # ||S_phi|| is about 1e-304; the stored S_phi is off by 1e10
+            {"family": "chebyshev", "params": {"n": 2},
+             "system": {"n": 2, "eps": [0.0, 1.0], "phi": [[1e-152, 0.0], [0.0, 1e-152]],
+                        "eta": [[1e152, 0.0], [0.0, 1e152]]},
+             "matrices": {k: {"rows": 2, "cols": 2, "data": v} for k, v in {
+                 "m": [0.0, 0.0, 0.0, 1.0], "a": [0.0] * 4, "b": [0.0] * 4,
+                 "s_phi": [1e10, 0.0, 0.0, 1e10], "s_eta": [1e304, 0.0, 0.0, 1e304]}.items()}},
+        ],
+        ids=["null-metric-pair", "tiny-basis-artifact"],
+    )
+    def test_overflowing_relative_residual_is_invalid(self, capsys, tmp_path, doc):
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))
+        assert main(["verify", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+    def test_large_representable_pair_is_valid(self, capsys, tmp_path):
+        # The sums of squares overflow; the norms (about 2.2e200) and every residual do not.
+        pair, system = tmp_path / "pair.json", tmp_path / "system.json"
+        serialize.write_document(pair, serialize.crypto_to_dict(CryptoPair([[1e200, 1.0], [1.0, 2e200]], np.eye(2))))
+        assert main(["verify", str(pair)]) == 0
+        assert main(["convert", "crypto2nlrpb", str(pair), "-o", str(system)]) == 0
+        assert main(["verify", str(system)]) == 0
+        assert main(["convert", "nlrpb2crypto", str(system)]) == 0
+        assert capsys.readouterr().err == ""
 
     @settings(deadline=None, max_examples=300)
     @given(st.floats(allow_nan=False, allow_infinity=False), st.floats(allow_nan=False, allow_infinity=False))
@@ -571,6 +652,7 @@ class TestCheckSets:
                                 ("eigen_relations", 1e-10),
                                 ("eps_structure", 0.0),
                                 ("stored_metrics", 1e-10),
+                                ("stored_params", 1e-10),
                             ]
                         ),
                     )

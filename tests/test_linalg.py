@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from nlrpb import serialize
 from nlrpb.cli import main
@@ -14,6 +15,7 @@ from nlrpb.linalg import (
     as_matrix,
     as_vector,
     default_tolerance,
+    frobenius_norm,
     jacobi_eigh,
     residual_norm,
     spd_deficit,
@@ -81,6 +83,47 @@ class TestResidualNorm:
     def test_shape_mismatch(self):
         with pytest.raises(ValidationError):
             residual_norm(np.ones((2, 2)), np.ones((3, 3)))
+
+
+class TestFrobeniusNorm:
+    # |x| <= 1e150 keeps every sum of squares of up to 36 entries finite.
+    @given(
+        hnp.arrays(
+            np.float64,
+            hnp.array_shapes(min_dims=1, max_dims=2, max_side=6),
+            elements=st.floats(-1e150, 1e150, allow_nan=False) | st.sampled_from([5e-324, -0.0, 1e-160]),
+        ),
+        st.booleans(),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_equals_numpy_bit_for_bit_on_finite_sums(self, x, transpose):
+        x = x.T if transpose else x  # a transposed 2-d view is Fortran-ordered
+        assert frobenius_norm(x).tobytes() == np.linalg.norm(x).tobytes()
+        for axis in range(x.ndim):
+            assert frobenius_norm(x, axis=axis).tobytes() == np.linalg.norm(x, axis=axis).tobytes()
+
+    @pytest.mark.parametrize("over", ["raise", "ignore"])
+    def test_overflowing_squares_give_the_representable_norm(self, over):
+        x = np.array([[1e200, 1.0], [0.0, 2e200]])
+        with np.errstate(over=over, invalid="raise", divide="raise"):
+            total = frobenius_norm(x)
+            rows = frobenius_norm(x, axis=1)
+        assert total == pytest.approx(math.sqrt(5.0) * 1e200, rel=1e-15)
+        assert rows.tolist() == [1e200, 2e200]
+
+    @pytest.mark.parametrize("errstate", [{}, {"over": "raise", "invalid": "raise", "divide": "raise"}])
+    @pytest.mark.parametrize("inf", [math.inf, -math.inf])
+    def test_infinite_entry_gives_infinite_norm(self, inf, errstate):
+        x = np.array([[inf, 1.0], [1.0, 2.0]])
+        with np.errstate(**errstate):
+            assert frobenius_norm(x[0]) == math.inf
+            assert frobenius_norm(x) == math.inf
+            assert frobenius_norm(x, axis=1).tolist() == [math.inf, math.sqrt(5.0)]
+            assert frobenius_norm(x, axis=1).tobytes() == np.linalg.norm(x, axis=1).tobytes()
+
+    def test_unrepresentable_norm_overflows(self):
+        with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+            frobenius_norm([1e308, 1.7e308])
 
 
 class TestJacobiEigh:

@@ -15,9 +15,10 @@ from nlrpb.models import (
     _chebyshev_rows,
     chebyshev_model,
     chebyshev_paper_normalization,
+    stored_params_check,
     two_param_model,
 )
-from nlrpb.pseudoboson import build_ladders, build_metrics, verify_axioms
+from nlrpb.pseudoboson import BiorthogonalSystem, build_ladders, build_metrics, verify_axioms
 
 
 def cheb_t(k, x):
@@ -238,3 +239,38 @@ class TestBiorthonormalize:
         _, sys = chebyshev_model(2)
         again = sys.phi / np.diag(sys.phi @ sys.eta.T)[:, None]
         assert np.abs(again - sys.phi).max() < 1e-14
+
+
+class TestStoredParamsCheck:
+    def test_model_params_give_zero(self):
+        _, sys = chebyshev_model(6)
+        assert stored_params_check("chebyshev", {"n": 6, "z": 0.0}, sys).residual == 0.0
+        _, _, sys2 = two_param_model(2.0, -1.0)
+        assert stored_params_check("two-param", {"beta": 2.0, "delta": -1}, sys2).residual == 0.0
+
+    def test_relative_spectrum_distance(self):
+        _, sys = chebyshev_model(4)
+        eps = sys.eps.copy()
+        eps[2] += 1e-6 * eps[-1]
+        check = stored_params_check("chebyshev", {"n": 4}, BiorthogonalSystem(eps, sys.phi, sys.eta))
+        assert check.residual == pytest.approx(1e-6, rel=1e-9)
+        assert not check.passed
+
+    @pytest.mark.parametrize(
+        "family, params",
+        [
+            ("chebyshev", {"n": 5}),
+            ("chebyshev", {"n": 10**9}),  # compared by size, never built
+            ("chebyshev", {"n": True}),
+            ("chebyshev", {"n": "4"}),
+            ("chebyshev", {"n": [4]}),
+            ("chebyshev", {}),
+            ("two-param", {"beta": 1.0, "delta": 1.0}),
+            ("two-param", {"beta": 2.0}),
+        ],
+    )
+    def test_params_naming_no_model_of_this_size_give_one(self, family, params):
+        _, sys = chebyshev_model(4)
+        check = stored_params_check(family, params, sys, tolerance=0.5)
+        assert check.residual == 1.0
+        assert not check.passed

@@ -107,6 +107,26 @@ class TestSystemCodec:
         with pytest.raises(SchemaError, match=rf"^eta\[2\]\[1\] must be {message}$"):
             serialize.system_from_dict(doc)
 
+    def test_malformed_row_deep_in_phi_names_its_index(self, tmp_path):
+        _, sys = chebyshev_model(40)
+        doc = serialize.system_to_dict(sys)
+        doc["phi"][37][29] = "0.5"
+        path = tmp_path / "sys.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(SchemaError, match=r"^phi\[37\]\[29\] must be a number$"):
+            serialize.system_from_dict(serialize.load_document(path))
+
+    @pytest.mark.parametrize(
+        "row, message",
+        [([1.0, 2.0], r"phi\[1\] must have 3 entries"), ((1.0, 2.0, 3.0), r"phi\[1\] must be a list")],
+        ids=["short-row", "tuple-row"],
+    )
+    def test_bad_row_shape_names_its_index(self, row, message):
+        doc = serialize.system_to_dict(chebyshev_paper_normalization(3))
+        doc["phi"][1] = row
+        with pytest.raises(SchemaError, match=rf"^{message}$"):
+            serialize.system_from_dict(doc)
+
     def test_numpy_float_rows_accepted(self):
         sys = chebyshev_paper_normalization(2)
         doc = serialize.system_to_dict(sys)
@@ -249,6 +269,60 @@ _DOCUMENTS = st.recursive(
     max_leaves=30,
 )
 _NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
+# Valid documents for load_document, json.loads the reference.  orjson reads
+# integers in 64 bits and strings without lone surrogates, as JSON requires.
+_FLOATS_IN = _FLOATS | st.sampled_from([2.2250738585072014e-308, 1e-320, 0.1 + 0.2, 9007199254740993.0, 1.7976931348623157e308])
+_TEXT_IN = st.text(alphabet=st.characters(blacklist_categories=("Cs",)), max_size=8)
+_SCALARS_IN = (
+    _TEXT_IN
+    | st.sampled_from(['"', "\\", "\n", "\x00", "\x1f", "\u00e9", "\u2028", "\U0001f600"])
+    | st.integers(min_value=-(2**63), max_value=2**63 - 1) | _FLOATS_IN | st.booleans() | st.none()
+)
+_DOCUMENTS_IN = st.recursive(
+    _SCALARS_IN,
+    lambda children: st.lists(children, max_size=5)
+    | st.lists(_FLOATS_IN, max_size=8)
+    | st.dictionaries(_TEXT_IN, children, max_size=5),
+    max_leaves=30,
+)
+
+
+class TestLoadDocument:
+    @given(_DOCUMENTS_IN, st.booleans())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_json_loads(self, tmp_path_factory, doc, ensure_ascii):
+        text = json.dumps(doc, ensure_ascii=ensure_ascii)
+        path = tmp_path_factory.mktemp("load") / "doc.json"
+        path.write_text(text, encoding="utf-8")
+        loaded = serialize.load_document(path)
+        assert loaded == json.loads(text)
+        assert json.dumps(loaded) == json.dumps(json.loads(text))  # -0.0 and int/float kept apart
+
+    @pytest.mark.parametrize("depth", [1, serialize.MAX_DEPTH])
+    def test_nesting_up_to_the_limit_loads(self, tmp_path, depth):
+        path = tmp_path / "deep.json"
+        path.write_bytes(b'{"k": "[[{{", "v": ' + b"[" * (depth - 1) + b"0" + b"]" * (depth - 1) + b"}")
+        assert serialize.load_document(path)["k"] == "[[{{"
+
+    @pytest.mark.parametrize("opener, closer", [(b"[", b"]"), (b'{"a":', b"}")], ids=["arrays", "objects"])
+    def test_nesting_beyond_the_limit_is_malformed(self, tmp_path, opener, closer):
+        depth = serialize.MAX_DEPTH + 1
+        path = tmp_path / "deep.json"
+        path.write_bytes(opener * depth + b"1" + closer * depth)
+        with pytest.raises(SchemaError, match="nested deeper than"):
+            serialize.load_document(path)
+
+    def test_many_shallow_arrays_load(self, tmp_path):
+        rows = [[float(i)] for i in range(2 * serialize.MAX_DEPTH)]  # a system above N of about 510
+        path = tmp_path / "wide.json"
+        path.write_text(json.dumps({"phi": rows}))
+        assert serialize.load_document(path) == {"phi": rows}
+
+    def test_brackets_in_strings_do_not_count_as_nesting(self, tmp_path):
+        brackets = "[{" * serialize.MAX_DEPTH + '\\"['
+        path = tmp_path / "strings.json"
+        path.write_text(json.dumps({"s": brackets, "t": ['"[', "\\"]}))
+        assert serialize.load_document(path) == {"s": brackets, "t": ['"[', "\\"]}
 
 
 class TestDumps:
