@@ -12,7 +12,9 @@ given ``--format csv|md``) and exits 0 when all checks pass, 1 on
 verification failure, 2 on invalid parameters (or when memory runs
 out, or float64 arithmetic overflows or turns invalid), 3 on I/O or
 parse errors.  The NLRPB_TOL environment variable sets the default
-residual tolerance; ``verify --tol`` takes precedence.  Positive-definiteness gates always keep tolerance 0.
+residual tolerance of ``model``, ``verify`` and ``convert``; ``verify
+--tol`` takes precedence.  ``paper-tables`` ignores it: each golden check
+has its own tolerance.  Positive-definiteness gates always keep tolerance 0.
 Checks are sorted by name inside every section, and file output is
 written atomically.
 """
@@ -20,33 +22,27 @@ written atomically.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import math
 import os
 import sys as _sys
 from datetime import datetime, timezone
+from typing import NamedTuple
 
 import numpy as np
 
 from . import serialize
 from .cryptoherm import crypto_roundtrip, hermitize, hermitized_checks, nlrpb_roundtrip
 from .errors import ConvergenceError, SchemaError, ValidationError
-from .linalg import _TINY, jacobi_eigh
-from .models import ChebyshevSpec, TwoParamSpec, chebyshev_model, chebyshev_paper_normalization, stored_params_check, two_param_model
-from .pseudoboson import (
-    LadderPair,
-    biorthonormality_check,
-    build_ladders,
-    build_metrics,
-    build_system,
-    eps_structure_check,
-    stored_metrics_check,
-    system_checks,
-)
+from .linalg import jacobi_eigh
+from .models import _FAMILIES, ChebyshevSpec, TwoParamSpec, chebyshev_model, chebyshev_paper_normalization, stored_params_check, two_param_model
+from .pseudoboson import LadderPair, build_ladders, build_metrics, build_system, stored_metrics_check, system_checks
 from .report import Check
 
 __all__ = ["main"]
 
 ENV_TOL = "NLRPB_TOL"
+_DEFAULT_TOL = {"value": None, "source": "default"}
 
 
 def checks_section(title: str, checks) -> dict:
@@ -64,7 +60,7 @@ def matrix_section(title: str, arr) -> dict:
 
 
 def scalars_section(title: str, mapping: dict) -> dict:
-    return {"title": title, "kind": "scalars", "values": {k: float(v) for k, v in mapping.items()}}
+    return {"title": title, "kind": "scalars", "values": {k: None if v is None else float(v) for k, v in mapping.items()}}
 
 
 def comparison_section(title: str, reference, computed) -> dict:
@@ -159,22 +155,21 @@ def resolve_tolerance(args):
             raise ValidationError(f"{ENV_TOL} must be a number, got {env!r}") from None
         source, name, raw = "env", ENV_TOL, env
     else:
-        return {"value": None, "source": "default"}, None
+        return _DEFAULT_TOL, None
     if not math.isfinite(value) or value < 0.0:
         raise ValidationError(f"{name} must be a nonnegative finite number, got {raw!r}")
     return {"value": value, "source": source}, value
 
 
-def _metric_scalars(system) -> dict:
-    lam = jacobi_eigh(build_metrics(system).s_eta).eigenvalues
+def _metric_scalars(s_eta) -> dict:
+    """Extreme eigenvalues of S_eta and their ratio; the ratio is None (null)
+    when lambda_min <= 0 or the ratio is beyond float64."""
+    lam_min, lam_max = (float(v) for v in jacobi_eigh(s_eta).eigenvalues[[0, -1]])
+    # Python float division: an overflow gives inf, not an exception
+    cond = lam_max / lam_min if lam_min > 0.0 else math.inf
     return scalars_section(
         "frame operator s_eta",
-        {
-            "lambda_min": lam[0],
-            "lambda_max": lam[-1],
-            # float64 division, so an overflow raises under main's errstate
-            "condition_number": lam[-1] / np.maximum(lam[0], _TINY),
-        },
+        {"lambda_min": lam_min, "lambda_max": lam_max, "condition_number": cond if math.isfinite(cond) else None},
     )
 
 
@@ -189,7 +184,6 @@ def _cmd_model(args) -> int:
         spec = ChebyshevSpec(args.n)
         m, system = chebyshev_model(spec.n)
         ladders = build_ladders(system)
-        params = {"n": spec.n, "z": spec.z}
     else:
         if args.beta is None or args.delta is None:
             raise ValidationError("model two-param requires --beta and --delta")
@@ -199,22 +193,16 @@ def _cmd_model(args) -> int:
         a_mat, b_mat, system = two_param_model(spec.beta, spec.delta)
         ladders = LadderPair(a_mat, b_mat)
         m = b_mat @ a_mat
-        params = {"beta": spec.beta, "delta": spec.delta, "y": spec.y, "w": spec.w}
 
     metrics = build_metrics(system)
     sections = [
         spectrum_section("spectrum", system.eps),
-        _metric_scalars(system),
+        _metric_scalars(metrics.s_eta),
         checks_section("verification", system_checks(system, ladders, m, tol)),
     ]
     if args.output:
-        artifact = serialize.model_artifact_to_dict(
-            family,
-            params,
-            system,
-            {"m": m, "a": ladders.a, "b": ladders.b, "s_phi": metrics.s_phi, "s_eta": metrics.s_eta},
-        )
-        serialize.write_document(args.output, artifact)
+        mats = {"m": m, "a": ladders.a, "b": ladders.b, "s_phi": metrics.s_phi, "s_eta": metrics.s_eta}
+        serialize.write_document(args.output, serialize.model_artifact_to_dict(family, dataclasses.asdict(spec), system, mats))
     return print_report("model", meta, sections)
 
 
@@ -229,30 +217,18 @@ def _cmd_verify(args) -> int:
         if hs is not None:
             sections.append(spectrum_section("hermitized spectrum (shifted)", hs.spectrum))
             sections.append(scalars_section("hermitized", {"shift": hs.shift}))
+        return print_report("verify", meta, sections)
+    if kind == "artifact":
+        family, params, system, mats = serialize.model_artifact_from_dict(doc_in)
+        checks = [
+            stored_metrics_check(system, mats["s_phi"], mats["s_eta"], tol),
+            stored_params_check(family, params, system, tol),
+            *system_checks(system, LadderPair(mats["a"], mats["b"]), mats["m"], tol),
+        ]
     else:
-        if kind == "artifact":
-            family, params, system, mats = serialize.model_artifact_from_dict(doc_in)
-            ladders = LadderPair(mats["a"], mats["b"])
-            m = mats["m"]
-            checks = [
-                stored_metrics_check(system, mats["s_phi"], mats["s_eta"], tol),
-                stored_params_check(family, params, system, tol),
-            ]
-        else:
-            system = serialize.system_from_dict(doc_in)
-            ladders = m = None
-            checks = []
-        gate = eps_structure_check(system)
-        checks.append(gate)
-        if gate.passed:
-            if ladders is None:
-                # no stored operators: reconstruct the ladders from the data
-                ladders = build_ladders(system)
-            checks.extend(system_checks(system, ladders, m, tol))
-        else:
-            # sqrt(eps) would be meaningless; only data-level checks remain
-            checks.append(biorthonormality_check(system, tol))
-        sections = [checks_section("axioms", checks), spectrum_section("spectrum", system.eps)]
+        system = serialize.system_from_dict(doc_in)
+        checks = system_checks(system, tolerance=tol)
+    sections = [checks_section("axioms", checks), spectrum_section("spectrum", system.eps)]
     return print_report("verify", meta, sections)
 
 
@@ -291,35 +267,44 @@ def _cmd_convert(args) -> int:
     return print_report("convert", meta, sections)
 
 
-def _golden(name: str, computed, reference, tol: float = 1e-12) -> Check:
-    """``name``: the largest entrywise |computed - reference|."""
-    return Check(name, float(np.abs(np.subtract(computed, reference)).max()), tol)
+class _Golden(NamedTuple):
+    """A paper-table check ``name``, the largest entrywise |computed - reference|.
+    Without a ``title`` only the check is shown; with one, a vector becomes a comparison
+    section and a matrix its computed section, after its reference section if titled."""
+
+    name: str
+    computed: object
+    reference: object
+    title: str | None = None
+    reference_title: str | None = None
+    tolerance: float = 1e-12
+
+
+def _golden_table(rows) -> list:
+    """The golden-values checks section, then the comparison sections, then the matrix sections."""
+    checks = [Check(r.name, float(np.abs(np.subtract(r.computed, r.reference)).max()), r.tolerance) for r in rows]
+    shown = [r for r in rows if r.title is not None]
+    sections = [checks_section("golden values", checks)]
+    sections += [comparison_section(r.title, r.reference, r.computed) for r in shown if np.ndim(r.reference) == 1]
+    for r in shown:
+        if np.ndim(r.reference) == 2:
+            if r.reference_title is not None:
+                sections.append(matrix_section(r.reference_title, r.reference))
+            sections.append(matrix_section(r.title, r.computed))
+    return sections
 
 
 def _tables_n2():
     s2 = math.sqrt(2.0)
     m, system = chebyshev_model(2)
-    m_ref = np.array([[s2, 2.0], [1.0, s2]])
-    eps_ref = [0.0, 2.0 * s2]
-    ref_sys = chebyshev_paper_normalization(2)
-    s_eta = build_metrics(ref_sys).s_eta
+    s_eta = build_metrics(chebyshev_paper_normalization(2)).s_eta
     s_eta_ref = np.array([[0.75, -s2 / 4.0], [-s2 / 4.0, 1.5]])
-    lam = jacobi_eigh(s_eta).eigenvalues
     lam_ref = [(9.0 - math.sqrt(17.0)) / 8.0, (9.0 + math.sqrt(17.0)) / 8.0]
-    checks = [
-        _golden("m_matrix", m, m_ref),
-        _golden("spectrum", system.eps, eps_ref),
-        _golden("s_eta", s_eta, s_eta_ref),
-        _golden("metric_eigenvalues", lam, lam_ref),
-    ]
     return [
-        checks_section("golden values", checks),
-        comparison_section("spectrum", eps_ref, system.eps),
-        comparison_section("metric eigenvalues", lam_ref, lam),
-        matrix_section("m reference", m_ref),
-        matrix_section("m computed", m),
-        matrix_section("s_eta reference", s_eta_ref),
-        matrix_section("s_eta computed", s_eta),
+        _Golden("m_matrix", m, np.array([[s2, 2.0], [1.0, s2]]), "m computed", "m reference"),
+        _Golden("spectrum", system.eps, [0.0, 2.0 * s2], "spectrum"),
+        _Golden("s_eta", s_eta, s_eta_ref, "s_eta computed", "s_eta reference"),
+        _Golden("metric_eigenvalues", jacobi_eigh(s_eta).eigenvalues, lam_ref, "metric eigenvalues"),
     ]
 
 
@@ -327,85 +312,47 @@ def _tables_n3():
     s2 = math.sqrt(2.0)
     s3 = math.sqrt(3.0)
     m, system = chebyshev_model(3)
-    eps_ref = [0.0, s3, 2.0 * s3]
-    ref_sys = chebyshev_paper_normalization(3)
-    s_eta = build_metrics(ref_sys).s_eta
-    s_eta_ref = np.diag([3.0, 6.0, 6.0])
+    s_eta = build_metrics(chebyshev_paper_normalization(3)).s_eta
     h_ref = np.array([[s3, s2, 0.0], [s2, s3, 1.0], [0.0, 1.0, s3]])
-    hs = hermitize(m, s_eta)
-    checks = [
-        _golden("spectrum", system.eps, eps_ref),
-        _golden("s_eta", s_eta, s_eta_ref),
-        _golden("hermitized_h", hs.h, h_ref),
-    ]
     return [
-        checks_section("golden values", checks),
-        comparison_section("spectrum", eps_ref, system.eps),
-        matrix_section("s_eta reference", s_eta_ref),
-        matrix_section("s_eta computed", s_eta),
-        matrix_section("hermitized h reference", h_ref),
-        matrix_section("hermitized h computed", hs.h),
+        _Golden("spectrum", system.eps, [0.0, s3, 2.0 * s3], "spectrum"),
+        _Golden("s_eta", s_eta, np.diag([3.0, 6.0, 6.0]), "s_eta computed", "s_eta reference"),
+        _Golden("hermitized_h", hermitize(m, s_eta).h, h_ref, "hermitized h computed", "hermitized h reference"),
     ]
 
 
 def _tables_n4():
-    s = math.sqrt(2.0 + math.sqrt(2.0))
-    _, system = chebyshev_model(4)
     alpha = np.array([0.0, 2.0 - math.sqrt(2.0), math.sqrt(2.0), 2.0])
-    eps_ref = alpha * s
-    checks = [_golden("spectrum", system.eps, eps_ref)]
-    return [
-        checks_section("golden values", checks),
-        comparison_section("spectrum", eps_ref, system.eps),
-    ]
+    eps_ref = alpha * math.sqrt(2.0 + math.sqrt(2.0))
+    return [_Golden("spectrum", chebyshev_model(4)[1].eps, eps_ref, "spectrum")]
 
 
 def _tables_n5():
-    _, system = chebyshev_model(5)
     eps_ref = [0.0, 0.726542529, 1.902113032, 3.077683536, 3.804226065]
-    checks = [_golden("spectrum", system.eps, eps_ref, 1e-8)]
-    return [
-        checks_section("golden values", checks),
-        comparison_section("spectrum", eps_ref, system.eps),
-    ]
+    return [_Golden("spectrum", chebyshev_model(5)[1].eps, eps_ref, "spectrum", tolerance=1e-8)]
 
 
 def _tables_two_param():
     a1, b1, sys1 = two_param_model(1.0, -1.0)
     met1 = build_metrics(sys1)
-    m1 = b1 @ a1
-    a2, b2, sys2 = two_param_model(2.0, -1.0)
+    _, _, sys2 = two_param_model(2.0, -1.0)
     met2 = build_metrics(sys2)
-    checks = [
-        _golden("beta1_delta-1_spectrum", sys1.eps, [0.0, 4.0]),
-        _golden("beta1_delta-1_m", m1, [[2.0, -2.0], [-2.0, 2.0]]),
-        _golden("beta1_delta-1_s_phi", met1.s_phi, np.eye(2)),
-        _golden("beta2_delta-1_spectrum", sys2.eps, [0.0, 4.5]),
-        _golden("beta2_delta-1_s_phi", met2.s_phi, np.diag([2.0, 1.0])),
-        _golden("beta2_delta-1_s_eta", met2.s_eta, np.diag([0.5, 1.0])),
-    ]
     return [
-        checks_section("golden values", checks),
-        comparison_section("spectrum (beta=1, delta=-1)", [0.0, 4.0], sys1.eps),
-        comparison_section("spectrum (beta=2, delta=-1)", [0.0, 4.5], sys2.eps),
-        matrix_section("m computed (beta=1, delta=-1)", m1),
-        matrix_section("s_phi computed (beta=2, delta=-1)", met2.s_phi),
-        matrix_section("s_eta computed (beta=2, delta=-1)", met2.s_eta),
+        _Golden("beta1_delta-1_spectrum", sys1.eps, [0.0, 4.0], "spectrum (beta=1, delta=-1)"),
+        _Golden("beta1_delta-1_m", b1 @ a1, [[2.0, -2.0], [-2.0, 2.0]], "m computed (beta=1, delta=-1)"),
+        _Golden("beta1_delta-1_s_phi", met1.s_phi, np.eye(2)),
+        _Golden("beta2_delta-1_spectrum", sys2.eps, [0.0, 4.5], "spectrum (beta=2, delta=-1)"),
+        _Golden("beta2_delta-1_s_phi", met2.s_phi, np.diag([2.0, 1.0]), "s_phi computed (beta=2, delta=-1)"),
+        _Golden("beta2_delta-1_s_eta", met2.s_eta, np.diag([0.5, 1.0]), "s_eta computed (beta=2, delta=-1)"),
     ]
 
 
-_TABLES = {
-    "n2": _tables_n2,
-    "n3": _tables_n3,
-    "n4": _tables_n4,
-    "n5": _tables_n5,
-    "two-param": _tables_two_param,
-}
+_TABLES = {"n2": _tables_n2, "n3": _tables_n3, "n4": _tables_n4, "n5": _tables_n5, "two-param": _tables_two_param}
 
 
 def _cmd_paper_tables(args) -> int:
-    meta, _ = resolve_tolerance(args)
-    return print_report(f"paper-tables {args.table}", meta, _TABLES[args.table](), args.format)
+    # The golden checks carry their own tolerances, so NLRPB_TOL is not read.
+    return print_report(f"paper-tables {args.table}", _DEFAULT_TOL, _golden_table(_TABLES[args.table]()), args.format)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -416,7 +363,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_model = sub.add_parser("model", help="build a model family and report on it")
-    p_model.add_argument("family", choices=["chebyshev", "two-param"])
+    p_model.add_argument("family", choices=list(_FAMILIES))
     p_model.add_argument("--beta", type=float, default=None, help="two-param: first parameter")
     p_model.add_argument("--delta", type=float, default=None, help="two-param: second parameter")
     p_model.add_argument("--n", type=int, default=None, help="chebyshev: size N >= 2")
@@ -435,7 +382,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_convert.set_defaults(func=_cmd_convert)
 
     p_tables = sub.add_parser("paper-tables", help="print reference tables for the solvable families")
-    p_tables.add_argument("table", choices=["n2", "n3", "n4", "n5", "two-param"])
+    p_tables.add_argument("table", choices=list(_TABLES))
     p_tables.add_argument("--format", choices=["json", "csv", "md"], default="json")
     p_tables.set_defaults(func=_cmd_paper_tables)
 

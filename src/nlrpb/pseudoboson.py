@@ -28,10 +28,11 @@ Each rule on the data is one function returning a ``Check``:
 MIN_EPS_GAP), ``biorthonormality_check``, ``eigen_check`` (phi and eta
 as right and left eigenvectors of a given operator),
 ``commutator_check`` and ``stored_metrics_check`` (stored frame
-operators against the bases).  ``system_checks`` is the full verdict on
-a system with its ladders.  ``build_system`` raises on the first two,
-and reports call the same functions, so a builder and a report cannot
-disagree on a verdict.
+operators against the bases).  ``system_checks`` is the one verdict on
+a system: its ``eps_structure`` gate decides whether the axiom,
+commutator and eigen checks run or only ``biorthonormality_check``.
+``build_system`` raises on the first two, and reports call the same
+functions, so a builder and a report cannot disagree on a verdict.
 """
 
 from __future__ import annotations
@@ -251,11 +252,17 @@ def commutator_check(sys: BiorthogonalSystem, ladders: LadderPair, tolerance=Non
     return Check("commutator_gaps", worst, effective_tolerance(sys.n, tolerance))
 
 
-def system_checks(sys: BiorthogonalSystem, ladders: LadderPair, m=None, tolerance=None) -> list:
-    """``verify_axioms``'s checks and ``commutator_check``, plus ``eigen_check``
-    when the operator ``m`` is known."""
-    checks = list(verify_axioms(sys, ladders, tolerance).checks)
-    checks.append(commutator_check(sys, ladders, tolerance))
+def system_checks(sys: BiorthogonalSystem, ladders: LadderPair | None = None, m=None, tolerance=None) -> list:
+    """``eps_structure_check``, then ``verify_axioms``'s checks, ``commutator_check``
+    and, when ``m`` is known, ``eigen_check``; when the gate fails, sqrt(eps) means
+    nothing and only ``biorthonormality_check`` follows.  ``ladders`` default to
+    ``build_ladders(sys)``."""
+    gate = eps_structure_check(sys)
+    if not gate.passed:
+        return [gate, biorthonormality_check(sys, tolerance)]
+    if ladders is None:
+        ladders = build_ladders(sys)
+    checks = [gate, *verify_axioms(sys, ladders, tolerance).checks, commutator_check(sys, ladders, tolerance)]
     if m is not None:
         checks.append(eigen_check(sys, m, tolerance))
     return checks

@@ -1,4 +1,6 @@
 import contextlib
+import copy
+import functools
 import io
 import json
 import math
@@ -7,6 +9,7 @@ import re
 import stat
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import pytest
@@ -14,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nlrpb import serialize
-from nlrpb.cli import main
+from nlrpb.cli import _metric_scalars, main
 from nlrpb.cryptoherm import CryptoPair, from_nlrpb, hermitize
 from nlrpb.errors import ValidationError
 from nlrpb.models import chebyshev_model, chebyshev_paper_normalization
@@ -533,7 +536,7 @@ class TestFloat64Overflow:
         "argv",
         [
             ["model", "two-param", "--beta=1e150", "--delta=-1e-150"],
-            ["model", "two-param", "--beta=1e-160", "--delta=-1e-160"],
+            ["model", "two-param", "--beta=1e-250", "--delta=-1e-60"],
             ["model", "two-param", "--beta=1e-308", "--delta=-1"],
             ["model", "two-param", "--beta=1e-150", "--delta=-1e150"],
             ["model", "two-param", "--beta=1e-300", "--delta=-1"],
@@ -575,6 +578,26 @@ class TestFloat64Overflow:
         assert captured.out == ""
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
+    def test_unrepresentable_condition_number_is_null(self, capsys):
+        # lambda_max / lambda_min of S_eta is 1e320; every check is computable and three fail
+        rc = main(["model", "two-param", "--beta=1e-160", "--delta=-1e-160"])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.err == ""
+        doc = json.loads(captured.out)
+        scalars = next(sec["values"] for sec in doc["sections"] if sec["kind"] == "scalars")
+        assert scalars["condition_number"] is None
+        assert scalars["lambda_min"] == 1e-160 and scalars["lambda_max"] == 1e160
+        failed = {c["name"] for c in checks_by_name(doc).values() if not c["pass"]}
+        assert failed == {"p4_resolution_of_identity", "p5_frame_bounds", "p5_metric_duality"}
+
+    @pytest.mark.parametrize(
+        "s_eta, cond",
+        [([[2.0, 0.0], [0.0, 8.0]], 4.0), ([[0.0, 0.0], [0.0, 1.0]], None), ([[-1.0, 0.0], [0.0, 1.0]], None)],
+    )
+    def test_condition_number_is_null_without_a_positive_lambda_min(self, s_eta, cond):
+        assert _metric_scalars(np.array(s_eta))["values"]["condition_number"] == cond
+
     def test_large_representable_pair_is_valid(self, capsys, tmp_path):
         # The sums of squares overflow; the norms (about 2.2e200) and every residual do not.
         pair, system = tmp_path / "pair.json", tmp_path / "system.json"
@@ -599,6 +622,101 @@ class TestFloat64Overflow:
         else:
             assert err.getvalue() == ""
             assert json.loads(out.getvalue())["pass"] is (rc == 0)
+
+
+@functools.lru_cache(maxsize=None)
+def _model_artifacts() -> tuple:
+    """Artifacts that ``model -o`` writes: Chebyshev N = 2..8 and two-param (beta=2, delta=-1)."""
+    argvs = [["model", "chebyshev", "--n", str(n)] for n in range(2, 9)]
+    argvs.append(["model", "two-param", "--beta", "2", "--delta", "-1"])
+    docs = []
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()):
+        path = os.path.join(tmp, "artifact.json")
+        for argv in argvs:
+            assert main(argv + ["-o", path]) == 0
+            with open(path) as fh:
+                docs.append(json.load(fh))
+    return tuple(docs)
+
+
+_BLOCKS = ("eps", "phi", "eta", "m", "a", "b", "s_phi", "s_eta")
+
+
+def _entry(doc, block: str, k: int):
+    """(list holding entry ``k`` of ``block``, its index there, the block's max |entry|)."""
+    if block in ("eps", "phi", "eta"):
+        values = doc["system"][block]
+    else:
+        values = doc["matrices"][block]["data"]
+    flat = np.ravel(values)
+    k %= flat.size
+    if block in ("phi", "eta"):
+        width = len(values[0])
+        return values[k // width], k % width, float(np.abs(flat).max())
+    return values, k, float(np.abs(flat).max())
+
+
+def _verify_text(text: str):
+    """(exit code, stdout, stderr) of ``verify`` on a file holding ``text``."""
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "doc.json")
+        with open(path, "w") as fh:
+            fh.write(text)
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            rc = main(["verify", path])
+    return rc, out.getvalue(), err.getvalue()
+
+
+class TestVerifyContract:
+    """Artifacts edited in one entry get an honest exit: 0 or 1 with a report
+    whose "pass" agrees, or 2 or 3 with one error line; never a traceback."""
+
+    artifact = st.integers(0, 7)
+    entry = st.tuples(st.sampled_from(_BLOCKS), st.integers(0, 10**6))
+
+    @settings(deadline=None, max_examples=80)
+    @given(
+        artifact,
+        entry,
+        st.one_of(
+            st.tuples(st.just("perturb"), st.floats(allow_nan=False, allow_infinity=False)),
+            st.tuples(st.just("scale"), st.floats(-1.0, 1.0)),
+            st.tuples(st.sampled_from(["delete", "reshape"]), st.none()),
+        ),
+    )
+    def test_every_exit_is_honest(self, artifact, entry, mutation):
+        doc = copy.deepcopy(_model_artifacts()[artifact])
+        holder, i, biggest = _entry(doc, *entry)
+        action, value = mutation
+        if action == "perturb":
+            holder[i] = value
+        elif action == "scale":
+            holder[i] += value * biggest
+        elif action == "delete":
+            del holder[i]
+        else:
+            holder[i] = [holder[i]]
+        rc, out, err = _verify_text(json.dumps(doc))
+        assert rc in (0, 1, 2, 3)
+        assert "Traceback" not in err
+        if rc in (2, 3):
+            assert out == ""
+            lines = err.splitlines()
+            assert len(lines) == 1 and lines[0].startswith("error: ")
+        else:
+            assert err == ""
+            assert json.loads(out)["pass"] is (rc == 0)
+
+    @settings(deadline=None, max_examples=50)
+    @given(artifact, entry, st.sampled_from([-1.0, 1.0]))
+    def test_block_relative_edit_fails(self, artifact, entry, sign):
+        doc = copy.deepcopy(_model_artifacts()[artifact])
+        holder, i, biggest = _entry(doc, *entry)
+        holder[i] += sign * 1e-6 * biggest
+        rc, out, err = _verify_text(json.dumps(doc))
+        assert (rc, err) == (1, "")
+        assert json.loads(out)["pass"] is False
 
 
 class TestCheckSets:
@@ -634,11 +752,21 @@ class TestCheckSets:
         [
             (
                 ["model", "chebyshev", "--n", "5"],
-                [("verification", sorted(AXIOMS + [("commutator_gaps", 1e-10), ("eigen_relations", 1e-10)]))],
+                [
+                    (
+                        "verification",
+                        sorted(AXIOMS + [("commutator_gaps", 1e-10), ("eigen_relations", 1e-10), ("eps_structure", 0.0)]),
+                    )
+                ],
             ),
             (
                 ["model", "two-param", "--beta", "2", "--delta", "-1"],
-                [("verification", sorted(AXIOMS + [("commutator_gaps", 1e-10), ("eigen_relations", 1e-10)]))],
+                [
+                    (
+                        "verification",
+                        sorted(AXIOMS + [("commutator_gaps", 1e-10), ("eigen_relations", 1e-10), ("eps_structure", 0.0)]),
+                    )
+                ],
             ),
             (
                 ["verify", "artifact"],
@@ -750,6 +878,69 @@ class TestPaperTablesCommand:
 
     def test_unknown_table_rejected(self, capsys):
         assert main(["paper-tables", "n9"]) == 2
+
+    LAYOUT = {
+        "n2": (
+            [
+                ("checks", "golden values"),
+                ("comparison", "spectrum"),
+                ("comparison", "metric eigenvalues"),
+                ("matrix", "m reference"),
+                ("matrix", "m computed"),
+                ("matrix", "s_eta reference"),
+                ("matrix", "s_eta computed"),
+            ],
+            [("m_matrix", 1e-12), ("metric_eigenvalues", 1e-12), ("s_eta", 1e-12), ("spectrum", 1e-12)],
+        ),
+        "n3": (
+            [
+                ("checks", "golden values"),
+                ("comparison", "spectrum"),
+                ("matrix", "s_eta reference"),
+                ("matrix", "s_eta computed"),
+                ("matrix", "hermitized h reference"),
+                ("matrix", "hermitized h computed"),
+            ],
+            [("hermitized_h", 1e-12), ("s_eta", 1e-12), ("spectrum", 1e-12)],
+        ),
+        "n4": ([("checks", "golden values"), ("comparison", "spectrum")], [("spectrum", 1e-12)]),
+        "n5": ([("checks", "golden values"), ("comparison", "spectrum")], [("spectrum", 1e-8)]),
+        "two-param": (
+            [
+                ("checks", "golden values"),
+                ("comparison", "spectrum (beta=1, delta=-1)"),
+                ("comparison", "spectrum (beta=2, delta=-1)"),
+                ("matrix", "m computed (beta=1, delta=-1)"),
+                ("matrix", "s_phi computed (beta=2, delta=-1)"),
+                ("matrix", "s_eta computed (beta=2, delta=-1)"),
+            ],
+            [
+                ("beta1_delta-1_m", 1e-12),
+                ("beta1_delta-1_s_phi", 1e-12),
+                ("beta1_delta-1_spectrum", 1e-12),
+                ("beta2_delta-1_s_eta", 1e-12),
+                ("beta2_delta-1_s_phi", 1e-12),
+                ("beta2_delta-1_spectrum", 1e-12),
+            ],
+        ),
+    }
+
+    @pytest.mark.parametrize("table", list(LAYOUT))
+    def test_layout(self, capsys, table):
+        """Section kinds and titles in order, and each golden check's tolerance; no float text."""
+        _, doc = run_json(capsys, ["paper-tables", table])
+        sections = [(sec["kind"], sec["title"]) for sec in doc["sections"]]
+        checks = [(c["name"], c["tolerance"]) for sec in doc["sections"] if sec["kind"] == "checks" for c in sec["checks"]]
+        assert (sections, checks) == self.LAYOUT[table]
+
+    @pytest.mark.parametrize("env", ["junk", "1e-3"])
+    def test_env_tolerance_is_not_read(self, capsys, monkeypatch, env):
+        expected = main(["paper-tables", "n5", "--format", "md"]), capsys.readouterr()
+        monkeypatch.setenv("NLRPB_TOL", env)
+        rc, doc = run_json(capsys, ["paper-tables", "n4"])
+        assert rc == 0
+        assert doc["tolerance"] == {"value": None, "source": "default"}
+        assert (main(["paper-tables", "n5", "--format", "md"]), capsys.readouterr()) == expected
 
 
 class TestParserBasics:

@@ -8,7 +8,7 @@ from hypothesis.extra import numpy as hnp
 
 from nlrpb import serialize
 from nlrpb.cli import main
-from nlrpb.cryptoherm import from_nlrpb
+from nlrpb.cryptoherm import from_nlrpb, verify_chwrt
 from nlrpb.errors import ConvergenceError, ValidationError
 from nlrpb.linalg import (
     SPD_GATE,
@@ -21,6 +21,7 @@ from nlrpb.linalg import (
     spd_deficit,
     spd_inv_sqrt,
     spd_sqrt,
+    symmetry_excess,
 )
 from nlrpb.models import chebyshev_model
 from nlrpb.pseudoboson import build_metrics, rescale
@@ -197,6 +198,21 @@ class TestJacobiEigh:
     def test_rejects_non_square(self):
         with pytest.raises(ValidationError):
             jacobi_eigh(np.ones((2, 3)))
+
+    @pytest.mark.parametrize("skew", [0.0, 3e-13, 3.5e-13, 3.6e-13, 4e-13, 1e-9])
+    def test_symmetry_rule_is_shared(self, skew):
+        # ||a - a^T||_F is about 2 sqrt(2) skew, against 1e-12 max(||a||_F, 1) = 1e-12
+        a = np.array([[0.5, 0.1 + skew], [0.1 - skew, 0.5]])
+        excess = symmetry_excess(a)
+        assert excess == residual_norm(a, a.T) - 1e-12
+        if excess > 0.0:
+            with pytest.raises(ValidationError, match="not symmetric"):
+                jacobi_eigh(a)
+        else:
+            jacobi_eigh(a)
+        metric_spd = verify_chwrt(np.eye(2), a)["metric_spd"]
+        assert metric_spd.residual == max(0.0, excess)
+        assert metric_spd.passed is (excess <= 0.0)
 
     def test_rejects_nan(self):
         with pytest.raises(ValidationError):

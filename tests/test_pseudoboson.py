@@ -17,6 +17,7 @@ from nlrpb.pseudoboson import (
     build_system,
     commutator_defect,
     rescale,
+    system_checks,
     verify_axioms,
 )
 
@@ -219,6 +220,28 @@ class TestCommutatorDefect:
         lad = build_ladders(sys)
         with pytest.raises(ValidationError):
             commutator_defect(sys, lad, -1)
+
+
+class TestSystemChecks:
+    def test_gate_first_then_every_check(self):
+        m, sys = chebyshev_model(4)
+        names = [c.name for c in system_checks(sys, build_ladders(sys), m)]
+        assert names[0] == "eps_structure"
+        assert names[1:] == [c.name for c in verify_axioms(sys, build_ladders(sys)).checks] + [
+            "commutator_gaps",
+            "eigen_relations",
+        ]
+
+    def test_ladders_default_to_the_data(self):
+        _, sys = chebyshev_model(4)
+        assert system_checks(sys) == system_checks(sys, build_ladders(sys))
+
+    def test_failed_gate_leaves_only_biorthonormality(self):
+        ref = chebyshev_paper_normalization(3)
+        bad = BiorthogonalSystem(np.array([0.5, 1.0, 2.0]), ref.phi, ref.eta)
+        checks = system_checks(bad, LadderPair(np.eye(3), np.eye(3)), np.eye(3), 1e-3)
+        assert [(c.name, c.passed) for c in checks] == [("eps_structure", False), ("p3_biorthonormality", True)]
+        assert checks[1].tolerance == 1e-3
 
 
 class TestRescale:
