@@ -228,27 +228,32 @@ def verify_axioms(sys: BiorthogonalSystem, ladders: LadderPair, tolerance=None) 
     return VerificationReport(checks)
 
 
-def commutator_defect(sys: BiorthogonalSystem, ladders: LadderPair, n: int) -> float:
-    """Relative residual of [a, b] phi_n = (eps[n+1] - eps[n]) phi_n.
+def commutator_defect(sys: BiorthogonalSystem, ladders: LadderPair, n: int | np.ndarray) -> float | np.ndarray:
+    """Relative residual of [a, b] phi_n = (eps[n+1] - eps[n]) phi_n: a float
+    for an int level ``n``, one residual per level for an array of levels,
+    with [a, b] formed once.
 
     Valid for 0 <= n <= N-2; the top level is rejected because b
     annihilates phi[N-1] under truncation.
     """
-    if not 0 <= n <= sys.n - 2:
+    levels = np.asarray(n)
+    outside = levels[(levels < 0) | (levels > sys.n - 2)]
+    if outside.size:
         raise ValidationError(
-            f"commutator_defect: level {n} outside 0..{sys.n - 2}; "
+            f"commutator_defect: level {outside.flat[0]} outside 0..{sys.n - 2}; "
             "the top level is not ladder-closed in finite dimension"
         )
     comm = ladders.a @ ladders.b - ladders.b @ ladders.a
-    gap = float(sys.eps[n + 1] - sys.eps[n])
-    phi_n = sys.phi[n]
-    res = comm @ phi_n - gap * phi_n
-    return float(frobenius_norm(res) / max(frobenius_norm(phi_n), _TINY))
+    gap = sys.eps[levels + 1] - sys.eps[levels]
+    phi = sys.phi[levels]  # row k is phi_{levels[k]}
+    res = phi @ comm.T - gap[..., None] * phi
+    defects = frobenius_norm(res, axis=-1) / np.maximum(frobenius_norm(phi, axis=-1), _TINY)
+    return defects if levels.ndim else float(defects)
 
 
 def commutator_check(sys: BiorthogonalSystem, ladders: LadderPair, tolerance=None) -> Check:
     """``commutator_gaps``: the worst ``commutator_defect`` over levels 0..N-2 (0.0 when N = 1)."""
-    worst = max((commutator_defect(sys, ladders, k) for k in range(sys.n - 1)), default=0.0)
+    worst = commutator_defect(sys, ladders, np.arange(sys.n - 1)).max(initial=0.0)
     return Check("commutator_gaps", worst, effective_tolerance(sys.n, tolerance))
 
 

@@ -222,6 +222,46 @@ class TestCommutatorDefect:
             commutator_defect(sys, lad, -1)
 
 
+class TestCommutatorDefectLevels:
+    """An array of levels gives one residual per level, as the int form does level by level."""
+
+    @pytest.mark.parametrize("n_dim", [2, 5, 16])
+    def test_matches_int_levels(self, n_dim):
+        _, sys = chebyshev_model(n_dim)
+        sys = rescale(sys, np.geomspace(0.5, 2.0, n_dim))
+        lad = build_ladders(sys)
+        levels = np.arange(n_dim - 1)
+        defects = commutator_defect(sys, lad, levels)
+        assert defects.shape == levels.shape
+        for level in levels:
+            single = commutator_defect(sys, lad, int(level))
+            assert isinstance(single, float)
+            assert defects[level] == pytest.approx(single, rel=1e-13)
+
+    def test_perturbed_levels_match_a_loop(self):
+        # One matrix-vector product per level is the reference; the residuals are
+        # well above rounding, so each level's value is checked.
+        _, sys = chebyshev_model(6)
+        lad = build_ladders(sys)
+        broken = LadderPair(lad.a + 1e-3 * np.arange(36.0).reshape(6, 6), lad.b)
+        comm = broken.a @ broken.b - broken.b @ broken.a
+        defects = commutator_defect(sys, broken, [3, 0, 3])
+        assert defects.min() > 1e-6
+        for got, level in zip(defects, [3, 0, 3]):
+            phi_n, gap = sys.phi[level], sys.eps[level + 1] - sys.eps[level]
+            assert got == pytest.approx(np.linalg.norm(comm @ phi_n - gap * phi_n) / np.linalg.norm(phi_n), rel=1e-13)
+
+    def test_no_levels(self):
+        sys = trivial_system(1)
+        assert commutator_defect(sys, build_ladders(sys), np.arange(0)).shape == (0,)
+
+    @pytest.mark.parametrize("levels", [[0, 1, 2], [-1, 0], np.array([2])], ids=["top", "negative", "top-only"])
+    def test_outside_levels_rejected(self, levels):
+        _, sys = chebyshev_model(3)
+        with pytest.raises(ValidationError, match="outside 0..1"):
+            commutator_defect(sys, build_ladders(sys), levels)
+
+
 class TestSystemChecks:
     def test_gate_first_then_every_check(self):
         m, sys = chebyshev_model(4)

@@ -7,10 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nlrpb import serialize
+from nlrpb.cli import main
 from nlrpb.cryptoherm import CryptoPair, from_nlrpb
 from nlrpb.errors import SchemaError
 from nlrpb.models import chebyshev_model, chebyshev_paper_normalization
-from nlrpb.pseudoboson import build_ladders, build_metrics
+from nlrpb.pseudoboson import build_ladders, build_metrics, rescale
 
 
 # An entry that is not a finite number, and the end of the message naming it.
@@ -342,9 +343,70 @@ class TestDumps:
             serialize.dumps(doc)
 
     def test_tuples_and_float_subclasses(self):
-        doc = {"t": (1.5, 2), "n": [np.float64(0.1), 3.0], "e": [(), {}]}
+        doc = {"t": (1.5, 2), "f": (0.5, 1e-07), "n": [np.float64(0.1), 3.0], "e": [(), {}]}
         assert serialize.dumps(doc) == json.dumps(doc, indent=2, allow_nan=False)
 
     def test_unsupported_type_raises(self):
         with pytest.raises(TypeError):
             serialize.dumps({"x": np.int64(1)})
+
+
+def _json_dumps(obj) -> str:
+    return json.dumps(obj, indent=2, allow_nan=False)
+
+
+def _assert_same_lines(got: str, want: str) -> None:
+    # Line by line: pytest's diff of two long strings takes minutes.
+    got, want = got.split("\n"), want.split("\n")
+    assert [(i, g, w) for i, (g, w) in enumerate(zip(got, want)) if g != w][:5] == []
+    assert len(got) == len(want)
+
+
+# Every decade of float64, both signs, with 1-digit and 17-digit mantissas
+# (those above the float64 range at 1e308 left out).
+_DECADES = [
+    value
+    for exponent in range(-324, 309)
+    for mantissa in ("1", "5", "1.2345678901234567", "9.876543210987654")
+    for sign in ("", "-")
+    if math.isfinite(value := float(f"{sign}{mantissa}e{exponent}"))
+] + [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.7976931348623157e308, 1e-5, 10.00001, -10.00001]
+
+
+class TestDumpsFloatLists:
+    """A list of exact floats takes its digits from orjson and is rewritten to repr's layout."""
+
+    def test_every_decade(self):
+        _assert_same_lines(serialize.dumps({"x": _DECADES}), _json_dumps({"x": _DECADES}))
+
+    def test_each_value_alone_and_last(self):
+        # The last entry of a list has no comma after it to anchor a rewrite.
+        for value in _DECADES:
+            for doc in ([value], [1.0, value], [value, value]):
+                assert serialize.dumps(doc) == _json_dumps(doc)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("position", [0, 500, 999], ids=["first", "middle", "last"])
+    def test_non_finite_in_a_long_list_raises(self, bad, position):
+        values = (np.random.default_rng(position).standard_normal(1000) * 10.0 ** np.arange(-8, 17).repeat(40)).tolist()
+        values[position] = bad
+        with pytest.raises(ValueError):
+            _json_dumps(values)
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            serialize.dumps({"data": values})
+
+    def test_model_artifact(self, tmp_path):
+        path = tmp_path / "model.json"
+        assert main(["model", "chebyshev", "--n", "64", "-o", str(path)]) == 0
+        text = path.read_text()
+        _assert_same_lines(text, _json_dumps(json.loads(text)) + "\n")
+
+    def test_pair_from_a_gauged_system(self, tmp_path, capsys):
+        _, sys = chebyshev_model(32)
+        gauged = rescale(sys, np.geomspace(0.1, 10.0, 32))
+        src, dst = tmp_path / "sys.json", tmp_path / "pair.json"
+        serialize.write_document(src, serialize.system_to_dict(gauged))
+        assert main(["convert", "nlrpb2crypto", str(src), "-o", str(dst)]) == 0
+        report = capsys.readouterr().out
+        for text in (src.read_text(), dst.read_text(), report):
+            _assert_same_lines(text, _json_dumps(json.loads(text)) + "\n")
