@@ -44,6 +44,7 @@ from .linalg import (
     spd_deficit,
     spd_inv_sqrt,
     spd_sqrt,
+    symmetric_eigenvalues,
     symmetry_excess,
 )
 from .pseudoboson import MIN_EPS_GAP, BiorthogonalSystem, build_ladders, build_metrics, build_system, gap_deficit
@@ -119,7 +120,7 @@ def verify_chwrt(h_matrix, theta, tolerance=None) -> VerificationReport:
     h, t = pair.h_matrix, pair.theta
     tol = effective_tolerance(h.shape[0], tolerance)
 
-    lam = jacobi_eigh((t + t.T) / 2.0).eigenvalues
+    lam = symmetric_eigenvalues((t + t.T) / 2.0)
     metric_residual = max(0.0, symmetry_excess(t), spd_deficit(lam))
 
     th = t @ h

@@ -11,9 +11,14 @@ keeps the name ``jacobi_eigh`` from the cyclic Jacobi solver it
 replaced, because the benchmark traces the eigensolver under that name;
 renaming it means updating the benchmark in the same change.
 
-The symmetry rule, ||a - a^T||_F within 1e-12 max(||a||_F, 1), is
-``symmetry_excess``: the eigensolver raises on it and
-``cryptoherm.verify_chwrt`` reports it in ``metric_spd``."""
+Checks that read only eigenvalues (``pseudoboson.verify_axioms``'
+``p5_frame_bounds``, ``cryptoherm.verify_chwrt``'s ``metric_spd`` and the
+``model`` report's S_eta scalars) call ``symmetric_eigenvalues`` instead,
+which runs ``numpy.linalg.eigvalsh`` and skips the eigenvectors.  Both
+entries share one input rule (2-d, finite, square, symmetric) and raise
+the same errors.  The symmetry rule, ||a - a^T||_F within
+1e-12 max(||a||_F, 1), is ``symmetry_excess``: the eigensolvers raise on
+it and ``cryptoherm.verify_chwrt`` reports it in ``metric_spd``."""
 
 from __future__ import annotations
 
@@ -72,7 +77,7 @@ def _as_array(value, name: str, ndim: int) -> np.ndarray:
     arr = np.array(value, dtype=float, order="C")
     if arr.ndim != ndim or min(arr.shape) < 1:
         raise ValidationError(f"{name}: expected a {ndim}-d array, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ValidationError(f"{name}: entries must be finite")
     return arr
 
@@ -137,15 +142,15 @@ def residual_norm(a, b) -> float:
     b = np.asarray(b, dtype=float)
     if a.shape != b.shape:
         raise ValidationError(f"residual_norm: shapes differ ({a.shape} vs {b.shape})")
-    if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
+    if not (np.isfinite(a).all() and np.isfinite(b).all()):
         raise ValidationError("residual_norm: entries must be finite")
     return float(frobenius_norm(a - b))
 
 
-def symmetry_excess(a) -> float:
-    """||a - a^T||_F minus 1e-12 max(||a||_F, 1): positive when the square
-    matrix ``a`` is not symmetric within that tolerance."""
-    return residual_norm(a, a.T) - _SYM_RTOL * max(float(frobenius_norm(a)), 1.0)
+def symmetry_excess(a: np.ndarray) -> float:
+    """||a - a^T||_F minus 1e-12 max(||a||_F, 1): positive when the finite
+    square float64 matrix ``a`` is not symmetric within that tolerance."""
+    return float(frobenius_norm(a - a.T)) - _SYM_RTOL * max(float(frobenius_norm(a)), 1.0)
 
 
 @dataclass(frozen=True)
@@ -172,6 +177,21 @@ def _fix_signs(vecs: np.ndarray) -> None:
     vecs[:, lead < 0.0] *= -1.0
 
 
+def _symmetrized(a, name: str) -> np.ndarray:
+    """(a + a^T) / 2 after the eigensolvers' one input rule: ``a`` is a
+    finite square float64 matrix that passes ``symmetry_excess``."""
+    a = np.asarray(a, dtype=float)  # no copy: the solve runs on a new array
+    if a.ndim != 2 or min(a.shape) < 1:
+        raise ValidationError(f"{name}: expected a 2-d array, got shape {a.shape}")
+    if not np.isfinite(a).all():
+        raise ValidationError(f"{name}: entries must be finite")
+    if a.shape[0] != a.shape[1]:
+        raise ValidationError(f"{name}: matrix must be square, got {a.shape}")
+    if symmetry_excess(a) > 0.0:
+        raise ValidationError(f"{name}: matrix is not symmetric within tolerance")
+    return (a + a.T) / 2.0
+
+
 def jacobi_eigh(a) -> SymEig:
     """Eigendecomposition of a real symmetric matrix by LAPACK (``numpy.linalg.eigh``).
 
@@ -182,17 +202,25 @@ def jacobi_eigh(a) -> SymEig:
     The name is kept from the Jacobi iteration this replaced, because
     the benchmark traces the eigensolver by that name.
     """
-    a = as_matrix(a, "jacobi_eigh")
-    if a.shape[0] != a.shape[1]:
-        raise ValidationError(f"jacobi_eigh: matrix must be square, got {a.shape}")
-    if symmetry_excess(a) > 0.0:
-        raise ValidationError("jacobi_eigh: matrix is not symmetric within tolerance")
+    sym = _symmetrized(a, "jacobi_eigh")
     try:
-        lam, vecs = np.linalg.eigh((a + a.T) / 2.0)  # LAPACK returns eigenvalues ascending
+        lam, vecs = np.linalg.eigh(sym)  # LAPACK returns eigenvalues ascending
     except np.linalg.LinAlgError as exc:
         raise ConvergenceError(f"jacobi_eigh: {exc}") from exc
     _fix_signs(vecs)
     return SymEig(lam, vecs)
+
+
+def symmetric_eigenvalues(a) -> np.ndarray:
+    """Ascending eigenvalues of a real symmetric matrix by LAPACK
+    (``numpy.linalg.eigvalsh``), with ``jacobi_eigh``'s input rule and
+    errors, for callers that never read the eigenvectors."""
+    sym = _symmetrized(a, "symmetric_eigenvalues")
+    try:
+        # looked up per call, so a wrapper set on numpy.linalg sees the solve
+        return np.linalg.eigvalsh(sym)
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceError(f"symmetric_eigenvalues: {exc}") from exc
 
 
 def spd_deficit(eigenvalues) -> float:

@@ -42,7 +42,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ValidationError
-from .linalg import _TINY, as_square_pair, as_vector, effective_tolerance, freeze, frobenius_norm, jacobi_eigh, residual_norm, spd_deficit
+from .linalg import _TINY, as_square_pair, as_vector, effective_tolerance, freeze, frobenius_norm, residual_norm, spd_deficit, symmetric_eigenvalues
 from .report import Check, VerificationReport, raise_first_failure
 
 __all__ = [
@@ -213,7 +213,7 @@ def verify_axioms(sys: BiorthogonalSystem, ladders: LadderPair, tolerance=None) 
         )
 
     metrics = build_metrics(sys)
-    deficits = [spd_deficit(jacobi_eigh(m).eigenvalues) for m in (metrics.s_phi, metrics.s_eta)]
+    deficits = [spd_deficit(symmetric_eigenvalues(m)) for m in (metrics.s_phi, metrics.s_eta)]
     eye = np.eye(n)
 
     checks = (

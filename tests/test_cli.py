@@ -836,6 +836,45 @@ class TestCheckSets:
         assert self.check_sets(json.loads(capsys.readouterr().out)) == expected
 
 
+class TestEigensolveRouting:
+    """Each command's (values-only, vector) eigensolve counts: checks that read
+    only eigenvalues call ``numpy.linalg.eigvalsh``, the rest ``eigh``.  The
+    sums (model 3, verify artifact 2, verify system 2, verify pair 4,
+    nlrpb2crypto 7, crypto2nlrpb 11) are the benchmark's pinned eigensolves
+    per command, so a change to them goes with the benchmark's baseline."""
+
+    def test_counts_per_command(self, capsys, tmp_path, monkeypatch):
+        counts = {"eigvalsh": 0, "eigh": 0}
+
+        def counting(name):
+            original = getattr(np.linalg, name)
+
+            def solve(*args, **kwargs):
+                counts[name] += 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, solve)
+
+        counting("eigvalsh")
+        counting("eigh")
+        art, pair, system = (str(tmp_path / f"{name}.json") for name in ("art", "pair", "system"))
+        chain = [
+            ("model", ["model", "chebyshev", "--n", "8", "-o", art], (3, 0)),
+            ("verify artifact", ["verify", art], (2, 0)),
+            ("nlrpb2crypto", ["convert", "nlrpb2crypto", art, "-o", pair], (2, 5)),
+            ("verify pair", ["verify", pair], (1, 3)),
+            ("crypto2nlrpb", ["convert", "crypto2nlrpb", pair, "-o", system], (3, 8)),
+            ("verify system", ["verify", system], (2, 0)),
+        ]
+        seen = {}
+        for name, argv, _ in chain:
+            counts.update(eigvalsh=0, eigh=0)
+            assert main(argv) == 0, name
+            seen[name] = (counts["eigvalsh"], counts["eigh"])
+        capsys.readouterr()
+        assert seen == {name: split for name, _, split in chain}
+
+
 class TestJsonOutput:
     """Written documents and JSON reports are exactly json.dumps(..., indent=2) text."""
 

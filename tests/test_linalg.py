@@ -21,6 +21,7 @@ from nlrpb.linalg import (
     spd_deficit,
     spd_inv_sqrt,
     spd_sqrt,
+    symmetric_eigenvalues,
     symmetry_excess,
 )
 from nlrpb.models import chebyshev_model
@@ -178,11 +179,13 @@ class TestJacobiEigh:
         s_eta = build_metrics(rescale(system, nu)).s_eta
         assert np.count_nonzero(np.abs(s_eta) > 1e-12) > 64 * 64 // 2
         first = jacobi_eigh(s_eta)
+        values = symmetric_eigenvalues(s_eta)
         assert spd_deficit(first.eigenvalues) == 0.0
         for _ in range(49):
             again = jacobi_eigh(s_eta.copy())
             assert np.array_equal(again.eigenvalues, first.eigenvalues)
             assert np.array_equal(again.eigenvectors, first.eigenvectors)
+            assert np.array_equal(symmetric_eigenvalues(s_eta.copy()), values)
 
     def test_sign_convention(self):
         a = random_symmetric(6, seed=11)
@@ -246,6 +249,70 @@ class TestJacobiEigh:
         eig = jacobi_eigh(a)
         recon = (eig.eigenvectors * eig.eigenvalues) @ eig.eigenvectors.T
         assert residual_norm(recon, a) < 1e-12 * max(float(np.linalg.norm(a)), 1.0)
+
+
+class TestSymmetricEigenvalues:
+    @settings(deadline=None, max_examples=60)
+    @given(
+        st.integers(min_value=1, max_value=64),
+        st.integers(min_value=0, max_value=2**31 - 1),
+        st.one_of(st.none(), st.floats(min_value=0.0, max_value=12.0)),
+    )
+    def test_matches_jacobi_eigh(self, n, seed, log_cond):
+        # log_cond None: a random symmetric matrix; otherwise an SPD one
+        # with eigenvalues log-spaced over [10**-log_cond, 1]
+        if log_cond is None:
+            a = random_symmetric(n, seed)
+        else:
+            q, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal((n, n)))
+            a = (q * np.logspace(0.0, -log_cond, n)) @ q.T
+            a = (a + a.T) / 2.0
+        lam = symmetric_eigenvalues(a)
+        ref = jacobi_eigh(a).eigenvalues
+        assert lam.shape == (n,)
+        assert np.all(np.diff(lam) >= 0.0)
+        assert np.abs(lam - ref).max() <= 8 * n * np.finfo(float).eps * np.abs(ref).max()
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            [[float("nan"), 0.0], [0.0, 1.0]],
+            [[1.0, float("inf")], [float("inf"), 1.0]],
+            [1.0, 2.0],
+            np.ones((2, 2, 2)),
+            np.ones((0, 0)),
+            np.ones((2, 3)),
+            [[1.0, 2.0], [0.0, 1.0]],
+        ],
+        ids=["nan", "inf", "1-d", "3-d", "empty", "non-square", "asymmetric"],
+    )
+    def test_rejects_what_jacobi_eigh_rejects(self, bad):
+        with pytest.raises(ValidationError) as vectors:
+            jacobi_eigh(bad)
+        with pytest.raises(ValidationError) as values:
+            symmetric_eigenvalues(bad)
+        assert str(values.value) == str(vectors.value).replace("jacobi_eigh", "symmetric_eigenvalues")
+
+    def test_lapack_failure_is_convergence_error(self, monkeypatch, tmp_path, capsys):
+        path = tmp_path / "system.json"
+        serialize.write_document(path, serialize.system_to_dict(chebyshev_model(4)[1]))
+
+        def failing_eigvalsh(a):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", failing_eigvalsh)
+        with pytest.raises(ConvergenceError):
+            symmetric_eigenvalues(random_symmetric(4, seed=3))
+        assert main(["verify", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("error: symmetric_eigenvalues: ")
+
+    def test_input_is_not_modified(self):
+        a = random_symmetric(5, seed=4)
+        a[0, 1] += 1e-14  # asymmetric within the rule's tolerance
+        before = a.copy()
+        symmetric_eigenvalues(a)
+        jacobi_eigh(a)
+        assert np.array_equal(a, before)
 
 
 class TestSpdDeficit:
