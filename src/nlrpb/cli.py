@@ -35,7 +35,7 @@ from . import serialize
 from .cryptoherm import crypto_roundtrip, hermitize, hermitized_checks, nlrpb_roundtrip
 from .errors import ConvergenceError, SchemaError, ValidationError
 from .linalg import jacobi_eigh, symmetric_eigenvalues
-from .models import _FAMILIES, ChebyshevSpec, TwoParamSpec, chebyshev_model, chebyshev_paper_normalization, stored_params_check, two_param_model
+from .models import _FAMILIES, chebyshev_model, chebyshev_paper_normalization, stored_params_check, two_param_model
 from .pseudoboson import LadderPair, build_ladders, build_metrics, build_system, stored_metrics_check, system_checks
 from .report import Check
 
@@ -176,20 +176,18 @@ def _metric_scalars(s_eta) -> dict:
 def _cmd_model(args) -> int:
     meta, tol = resolve_tolerance(args)
     family = args.family
+    spec_type, keys = _FAMILIES[family]
+    foreign = [key for other, (_, other_keys) in _FAMILIES.items() if other != family for key in other_keys]
+    if any(getattr(args, key) is None for key in keys):
+        raise ValidationError(f"model {family} requires " + " and ".join(f"--{key}" for key in keys))
+    if any(getattr(args, key) is not None for key in foreign):
+        verb = "does" if len(foreign) == 1 else "do"
+        raise ValidationError("/".join(f"--{key}" for key in foreign) + f" {verb} not apply to the {family} family")
+    spec = spec_type(*(getattr(args, key) for key in keys))
     if family == "chebyshev":
-        if args.n is None:
-            raise ValidationError("model chebyshev requires --n")
-        if args.beta is not None or args.delta is not None:
-            raise ValidationError("--beta/--delta do not apply to the chebyshev family")
-        spec = ChebyshevSpec(args.n)
         m, system = chebyshev_model(spec.n)
         ladders = build_ladders(system)
     else:
-        if args.beta is None or args.delta is None:
-            raise ValidationError("model two-param requires --beta and --delta")
-        if args.n is not None:
-            raise ValidationError("--n does not apply to the two-param family")
-        spec = TwoParamSpec(args.beta, args.delta)
         a_mat, b_mat, system = two_param_model(spec.beta, spec.delta)
         ladders = LadderPair(a_mat, b_mat)
         m = b_mat @ a_mat

@@ -52,7 +52,7 @@ _TINY = 1e-300  # floor for norms used as divisors
 def default_tolerance(n: int) -> float:
     """Default absolute residual tolerance for size-``n`` problems.
 
-    Flat 1e-10 up to n = 16; above that it grows as ``n * 1e-12``.
+    1e-10 up to n = 16, then ``n * 1e-12``: 1.7e-11 at 17, 6.4e-11 at 64, 1e-10 again at 100.
     """
     if n <= 16:
         return 1e-10
@@ -72,14 +72,18 @@ def freeze(obj, **fields) -> None:
         object.__setattr__(obj, name, value)
 
 
-def _as_array(value, name: str, ndim: int) -> np.ndarray:
-    """Coerce ``value`` to a finite real nonempty ``ndim``-d float64 array (a copy)."""
-    arr = np.array(value, dtype=float, order="C")
+def _checked(arr: np.ndarray, name: str, ndim: int) -> np.ndarray:
+    """``arr``, which must be a finite nonempty ``ndim``-d array."""
     if arr.ndim != ndim or min(arr.shape) < 1:
         raise ValidationError(f"{name}: expected a {ndim}-d array, got shape {arr.shape}")
     if not np.isfinite(arr).all():
         raise ValidationError(f"{name}: entries must be finite")
     return arr
+
+
+def _as_array(value, name: str, ndim: int) -> np.ndarray:
+    """Coerce ``value`` to a finite real nonempty ``ndim``-d float64 array (a copy)."""
+    return _checked(np.array(value, dtype=float, order="C"), name, ndim)
 
 
 def as_matrix(value, name: str = "matrix") -> np.ndarray:
@@ -180,11 +184,7 @@ def _fix_signs(vecs: np.ndarray) -> None:
 def _symmetrized(a, name: str) -> np.ndarray:
     """(a + a^T) / 2 after the eigensolvers' one input rule: ``a`` is a
     finite square float64 matrix that passes ``symmetry_excess``."""
-    a = np.asarray(a, dtype=float)  # no copy: the solve runs on a new array
-    if a.ndim != 2 or min(a.shape) < 1:
-        raise ValidationError(f"{name}: expected a 2-d array, got shape {a.shape}")
-    if not np.isfinite(a).all():
-        raise ValidationError(f"{name}: entries must be finite")
+    a = _checked(np.asarray(a, dtype=float), name, 2)  # no copy: the solve runs on a new array
     if a.shape[0] != a.shape[1]:
         raise ValidationError(f"{name}: matrix must be square, got {a.shape}")
     if symmetry_excess(a) > 0.0:

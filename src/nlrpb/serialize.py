@@ -58,6 +58,7 @@ documents.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import json
 import math
@@ -363,15 +364,15 @@ def write_document(path, obj) -> None:
     if os.path.exists(path) and not os.path.isfile(path):
         raise OSError(f"{os.fspath(path)}: not a regular file, refusing to replace it")
     text = dumps(obj) + "\n"
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(prefix=".nlrpb-", suffix=".tmp", dir=directory)
+    try:
+        fd, tmp = tempfile.mkstemp(prefix=".nlrpb-", suffix=".tmp", dir=os.path.dirname(os.path.abspath(path)))
+    except OSError as exc:  # name the target, not the temp file's random name
+        raise OSError(exc.errno, exc.strerror, os.fspath(path)) from None
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             fh.write(text)
         os.replace(tmp, path)
     except BaseException:
-        try:
+        with contextlib.suppress(OSError):
             os.unlink(tmp)
-        except OSError:
-            pass
         raise

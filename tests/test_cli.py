@@ -2,6 +2,7 @@ import contextlib
 import copy
 import functools
 import io
+import itertools
 import json
 import math
 import os
@@ -89,20 +90,35 @@ class TestModelCommand:
         assert art["family"] == "two-param"
         assert set(art["params"]) == {"beta", "delta", "y", "w"}
 
-    def test_missing_n_is_invalid(self, capsys):
-        assert main(["model", "chebyshev"]) == 2
-        assert "error" in capsys.readouterr().err
-
-    def test_mixed_family_flags_invalid(self, capsys):
-        assert main(["model", "chebyshev", "--n", "3", "--beta", "1"]) == 2
-        assert main(["model", "two-param", "--beta", "1", "--delta", "-1", "--n", "2"]) == 2
+    @pytest.mark.parametrize("family", ["chebyshev", "two-param"])
+    @pytest.mark.parametrize(
+        "given",
+        [flags for r in range(4) for flags in itertools.combinations(("n", "beta", "delta"), r)],
+        ids=lambda flags: "+".join(flags) or "none",
+    )
+    def test_flag_messages(self, capsys, family, given):
+        """Each mix of family flags exits 0, or 2 with exactly one of four messages."""
+        values = {"n": "3", "beta": "1", "delta": "-1"}
+        needed, requires, does_not_apply = {
+            "chebyshev": ({"n"}, "model chebyshev requires --n", "--beta/--delta do not apply to the chebyshev family"),
+            "two-param": (
+                {"beta", "delta"},
+                "model two-param requires --beta and --delta",
+                "--n does not apply to the two-param family",
+            ),
+        }[family]
+        rc = main(["model", family, *(arg for flag in given for arg in (f"--{flag}", values[flag]))])
+        captured = capsys.readouterr()
+        if set(given) == needed:
+            assert rc == 0
+            return
+        assert rc == 2
+        assert captured.out == ""
+        assert captured.err == f"error: {requires if not needed <= set(given) else does_not_apply}\n"
 
     def test_equal_parameters_invalid(self, capsys):
         assert main(["model", "two-param", "--beta", "1", "--delta", "1"]) == 2
         assert "beta equals delta" in capsys.readouterr().err
-
-    def test_missing_delta_invalid(self, capsys):
-        assert main(["model", "two-param", "--beta", "1"]) == 2
 
     def test_out_of_memory_is_invalid_parameters(self, capsys, monkeypatch):
         def refuse(n):
@@ -160,6 +176,23 @@ class TestModelCommand:
         assert lines[0].startswith("error: ")
         assert stat.S_ISFIFO(os.stat(fifo).st_mode)
         assert sorted(os.listdir(tmp_path)) == ["fifo"]
+
+    @pytest.mark.parametrize("command", ["model", "convert"])
+    def test_output_into_missing_directory_names_the_target(self, capsys, tmp_path, command):
+        art = tmp_path / "art.json"
+        assert main(["model", "chebyshev", "--n", "3", "-o", str(art)]) == 0
+        capsys.readouterr()
+        target = tmp_path / "missing" / "out.json"
+        argv = {"model": ["model", "chebyshev", "--n", "3"], "convert": ["convert", "nlrpb2crypto", str(art)]}[command]
+        assert main([*argv, "-o", str(target)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("error: ")
+        assert str(target) in lines[0]
+        assert ".nlrpb-" not in lines[0]
+        assert sorted(os.listdir(tmp_path)) == ["art.json"]
 
 
 class TestVerifyCommand:
@@ -878,15 +911,15 @@ class TestEigensolveRouting:
 class TestJsonOutput:
     """Written documents and JSON reports are exactly json.dumps(..., indent=2) text."""
 
-    def test_artifact_file_and_convert_report(self, capsys, tmp_path):
+    def test_artifact_file_and_convert_report(self, capsys, tmp_path, assert_same_lines):
         art = tmp_path / "art.json"
         assert main(["model", "chebyshev", "--n", "32", "-o", str(art)]) == 0
         capsys.readouterr()
         text = art.read_text()
-        assert text == json.dumps(json.loads(text), indent=2) + "\n"
+        assert_same_lines(text, json.dumps(json.loads(text), indent=2) + "\n")
         assert main(["convert", "nlrpb2crypto", str(art)]) == 0
         text = capsys.readouterr().out
-        assert text == json.dumps(json.loads(text), indent=2) + "\n"
+        assert_same_lines(text, json.dumps(json.loads(text), indent=2) + "\n")
 
 
 class TestPaperTablesCommand:

@@ -355,13 +355,6 @@ def _json_dumps(obj) -> str:
     return json.dumps(obj, indent=2, allow_nan=False)
 
 
-def _assert_same_lines(got: str, want: str) -> None:
-    # Line by line: pytest's diff of two long strings takes minutes.
-    got, want = got.split("\n"), want.split("\n")
-    assert [(i, g, w) for i, (g, w) in enumerate(zip(got, want)) if g != w][:5] == []
-    assert len(got) == len(want)
-
-
 # Every decade of float64, both signs, with 1-digit and 17-digit mantissas
 # (those above the float64 range at 1e308 left out).
 _DECADES = [
@@ -376,8 +369,8 @@ _DECADES = [
 class TestDumpsFloatLists:
     """A list of exact floats takes its digits from orjson and is rewritten to repr's layout."""
 
-    def test_every_decade(self):
-        _assert_same_lines(serialize.dumps({"x": _DECADES}), _json_dumps({"x": _DECADES}))
+    def test_every_decade(self, assert_same_lines):
+        assert_same_lines(serialize.dumps({"x": _DECADES}), _json_dumps({"x": _DECADES}))
 
     def test_each_value_alone_and_last(self):
         # The last entry of a list has no comma after it to anchor a rewrite.
@@ -395,13 +388,13 @@ class TestDumpsFloatLists:
         with pytest.raises(ValueError, match="not JSON compliant"):
             serialize.dumps({"data": values})
 
-    def test_model_artifact(self, tmp_path):
+    def test_model_artifact(self, tmp_path, assert_same_lines):
         path = tmp_path / "model.json"
         assert main(["model", "chebyshev", "--n", "64", "-o", str(path)]) == 0
         text = path.read_text()
-        _assert_same_lines(text, _json_dumps(json.loads(text)) + "\n")
+        assert_same_lines(text, _json_dumps(json.loads(text)) + "\n")
 
-    def test_pair_from_a_gauged_system(self, tmp_path, capsys):
+    def test_pair_from_a_gauged_system(self, tmp_path, capsys, assert_same_lines):
         _, sys = chebyshev_model(32)
         gauged = rescale(sys, np.geomspace(0.1, 10.0, 32))
         src, dst = tmp_path / "sys.json", tmp_path / "pair.json"
@@ -409,4 +402,4 @@ class TestDumpsFloatLists:
         assert main(["convert", "nlrpb2crypto", str(src), "-o", str(dst)]) == 0
         report = capsys.readouterr().out
         for text in (src.read_text(), dst.read_text(), report):
-            _assert_same_lines(text, _json_dumps(json.loads(text)) + "\n")
+            assert_same_lines(text, _json_dumps(json.loads(text)) + "\n")
