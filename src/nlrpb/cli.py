@@ -192,14 +192,13 @@ def _cmd_model(args) -> int:
         ladders = LadderPair(a_mat, b_mat)
         m = b_mat @ a_mat
 
-    metrics = build_metrics(system)
     sections = [
         spectrum_section("spectrum", system.eps),
-        _metric_scalars(metrics.s_eta),
+        _metric_scalars(build_metrics(system).s_eta),
         checks_section("verification", system_checks(system, ladders, m, tol)),
     ]
     if args.output:
-        mats = {"m": m, "a": ladders.a, "b": ladders.b, "s_phi": metrics.s_phi, "s_eta": metrics.s_eta}
+        mats = {"m": m, "a": ladders.a, "b": ladders.b}
         serialize.write_document(args.output, serialize.model_artifact_to_dict(family, dataclasses.asdict(spec), system, mats))
     return print_report("model", meta, sections)
 
@@ -218,8 +217,10 @@ def _cmd_verify(args) -> int:
         return print_report("verify", meta, sections)
     if kind == "artifact":
         family, params, system, mats = serialize.model_artifact_from_dict(doc_in)
-        checks = [
-            stored_metrics_check(system, mats["s_phi"], mats["s_eta"], tol),
+        checks = []
+        if {"s_phi", "s_eta"} <= set(mats):  # stored by every format-1 artifact
+            checks.append(stored_metrics_check(system, mats["s_phi"], mats["s_eta"], tol))
+        checks += [
             stored_params_check(family, params, system, tol),
             *system_checks(system, LadderPair(mats["a"], mats["b"]), mats["m"], tol),
         ]

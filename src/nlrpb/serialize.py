@@ -14,12 +14,17 @@ Pair::
 
     {"h_matrix": Matrix, "theta": Matrix}
 
-Model artifact::
+Model artifact, format 2, as ``model -o`` writes it::
 
-    {"family": "chebyshev"|"two-param", "params": {...},
+    {"format": 2, "family": "chebyshev"|"two-param", "params": {...},
      "system": System,
-     "matrices": {"m": Matrix, "a": Matrix, "b": Matrix,
-                  "s_phi": Matrix, "s_eta": Matrix}}
+     "matrices": {"m": Matrix, "a": Matrix, "b": Matrix}}
+
+Format 1 has no ``format`` key and stores the frame operators too,
+``"s_phi"`` and ``"s_eta"`` in ``matrices``; it is still read.  The frame
+operators are functions of the bases, so format 2 leaves them out, which
+makes an artifact about a third smaller.  Any other ``format`` value is
+a schema violation.
 
 Input is parsed by orjson, from the file's bytes in one call.  Schema
 violations raise SchemaError, malformed files included.  Number lists
@@ -90,13 +95,16 @@ __all__ = [
     "write_document",
 ]
 
-_ARTIFACT_MATRICES = ("m", "a", "b", "s_phi", "s_eta")
+_ARTIFACT_FORMAT = 2
+_ARTIFACT_MATRICES = ("m", "a", "b")
+_FRAME_OPERATORS = ("s_phi", "s_eta")
 
 #: Deepest nesting of arrays and objects that load_document accepts; nlrpb
 #: documents nest 4 deep.  orjson 3.8 builds nested containers by recursion
 #: on the C stack with no limit of its own, and a valid document nested
 #: about 80,000 deep (8 MB stack) crashes the process.
 MAX_DEPTH = 1024
+_COUNT_CHUNK = 1 << 16  # bytes; see _opening_brackets
 _STRING = re.compile(rb'"(?:[^"\\]+|\\.)*"?', re.DOTALL)  # unterminated: to the end
 _NOT_BRACKETS = bytes(sorted(set(range(256)) - set(b"[]{}")))
 
@@ -217,6 +225,7 @@ def crypto_from_dict(doc) -> CryptoPair:
 
 def model_artifact_to_dict(family: str, params: dict, sys: BiorthogonalSystem, matrices: dict) -> dict:
     return {
+        "format": _ARTIFACT_FORMAT,
         "family": family,
         "params": dict(params),
         "system": system_to_dict(sys),
@@ -226,9 +235,18 @@ def model_artifact_to_dict(family: str, params: dict, sys: BiorthogonalSystem, m
 
 def model_artifact_from_dict(doc):
     """Returns (family, params, system, matrices); whether ``params`` describe
-    the system is ``models.stored_params_check``'s verdict."""
+    the system is ``models.stored_params_check``'s verdict.
+
+    A format-1 document (no ``format`` key) must store the frame operators,
+    format 2 may; when both are stored they must be N x N too.
+    """
     _require(isinstance(doc, dict), "artifact document must be an object")
     _require({"family", "params", "system", "matrices"} <= set(doc), "artifact document needs family/params/system/matrices")
+    fmt = doc.get("format")
+    _require(
+        "format" not in doc or (type(fmt) is int and fmt == _ARTIFACT_FORMAT),
+        f"artifact format must be {_ARTIFACT_FORMAT}, or absent for format 1, not {fmt!r}",
+    )
     family = doc["family"]
     _require(isinstance(family, str), "family must be a string")
     _require(family in _FAMILIES, f"unknown family {family!r}")
@@ -237,7 +255,10 @@ def model_artifact_from_dict(doc):
     mats_doc = doc["matrices"]
     _require(isinstance(mats_doc, dict), "matrices must be an object")
     matrices = {k: matrix_from_dict(v) for k, v in mats_doc.items()}
-    for key in _ARTIFACT_MATRICES:
+    keys = _ARTIFACT_MATRICES
+    if "format" not in doc or set(_FRAME_OPERATORS) <= set(matrices):
+        keys += _FRAME_OPERATORS
+    for key in keys:
         _require(key in matrices, f"matrices must include {key!r}")
         _require(matrices[key].shape == (sys.n, sys.n), f"matrices[{key!r}] must be {sys.n} x {sys.n}")
     return family, dict(doc["params"]), sys, matrices
@@ -331,6 +352,20 @@ def _nesting_depth(data: bytes) -> int:
     return int(np.cumsum(np.where((brackets | 32) == ord("{"), 1, -1)).max(initial=0))
 
 
+def _opening_brackets(data: bytes) -> int:
+    """Number of ``[`` and ``{`` bytes in data, strings included.
+
+    ``b"[" | 32`` is ``b"{"``.  The count runs over 64 KiB views: one pass
+    over a whole document makes two temporaries its size, which in a fresh
+    process cost about 4 ms at 3.2 MB against 0.8 ms in chunks.
+    """
+    view = np.frombuffer(data, np.uint8)
+    return sum(
+        int(np.count_nonzero((view[i : i + _COUNT_CHUNK] | 32) == ord("{")))
+        for i in range(0, view.size, _COUNT_CHUNK)
+    )
+
+
 def load_document(path):
     """Parse a JSON file with orjson; malformed JSON raises SchemaError, I/O
     errors propagate.
@@ -341,12 +376,11 @@ def load_document(path):
     """
     with open(path, "rb") as fh:
         data = fh.read()
-    # b"[" | 32 is b"{".  With at most MAX_DEPTH of these bytes no nesting
-    # is deeper, and the exact scan is skipped: it costs about 1 ms per
-    # 800 KB, against 0.2 ms for this count, and scanning every document
-    # made perfbench's reject-mix (N=64) 6% slower in verdicts per second.
-    opens = np.count_nonzero((np.frombuffer(data, np.uint8) | 32) == ord("{"))
-    if opens > MAX_DEPTH and _nesting_depth(data) > MAX_DEPTH:
+    # With at most MAX_DEPTH opening brackets no nesting is deeper, and the
+    # exact scan is skipped: it costs about 1 ms per 800 KB, against 0.3 ms
+    # for the count, and scanning every document made perfbench's
+    # reject-mix (N=64) 6% slower in verdicts per second.
+    if _opening_brackets(data) > MAX_DEPTH and _nesting_depth(data) > MAX_DEPTH:
         raise SchemaError(f"{path}: arrays and objects nested deeper than {MAX_DEPTH} levels")
     try:
         return orjson.loads(data)

@@ -22,7 +22,7 @@ from nlrpb.cli import _metric_scalars, main
 from nlrpb.cryptoherm import CryptoPair, from_nlrpb, hermitize
 from nlrpb.errors import ValidationError
 from nlrpb.models import chebyshev_model, chebyshev_paper_normalization
-from nlrpb.pseudoboson import MIN_EPS_GAP, build_system
+from nlrpb.pseudoboson import MIN_EPS_GAP, build_metrics, build_system
 
 
 @pytest.fixture(autouse=True)
@@ -34,6 +34,16 @@ def run_json(capsys, argv):
     rc = main(argv)
     out = capsys.readouterr().out
     return rc, json.loads(out)
+
+
+def as_format_1(doc: dict) -> dict:
+    """The format-1 twin of a format-2 artifact: no ``format`` key, and the
+    frame operators from ``build_metrics`` stored after ``m``, ``a`` and ``b``."""
+    doc = copy.deepcopy(doc)
+    del doc["format"]
+    metrics = build_metrics(serialize.system_from_dict(doc["system"]))
+    doc["matrices"].update(s_phi=serialize.matrix_to_dict(metrics.s_phi), s_eta=serialize.matrix_to_dict(metrics.s_eta))
+    return doc
 
 
 def checks_by_name(doc):
@@ -80,7 +90,9 @@ class TestModelCommand:
         assert serialize.detect_kind(art) == "artifact"
         assert art["family"] == "chebyshev"
         assert art["params"]["n"] == 4
-        assert set(art["matrices"]) == {"m", "a", "b", "s_phi", "s_eta"}
+        assert list(art) == ["format", "family", "params", "system", "matrices"]
+        assert art["format"] == 2
+        assert list(art["matrices"]) == ["m", "a", "b"]
 
     def test_two_param_artifact_params(self, capsys, tmp_path):
         path = tmp_path / "tp.json"
@@ -196,10 +208,12 @@ class TestModelCommand:
 
 
 class TestVerifyCommand:
-    def make_artifact(self, capsys, tmp_path, n=4):
+    def make_artifact(self, capsys, tmp_path, n=4, fmt=2):
         path = tmp_path / "art.json"
         rc, _ = run_json(capsys, ["model", "chebyshev", "--n", str(n), "-o", str(path)])
         assert rc == 0
+        if fmt == 1:
+            path.write_text(json.dumps(as_format_1(json.loads(path.read_text()))))
         return path
 
     def test_clean_artifact_passes(self, capsys, tmp_path):
@@ -304,14 +318,20 @@ class TestVerifyCommand:
         assert "spectrum_min_gap" not in checks
 
     def test_stored_metrics_read_zero_on_a_clean_artifact(self, capsys, tmp_path):
-        path = self.make_artifact(capsys, tmp_path, n=32)
+        path = self.make_artifact(capsys, tmp_path, n=32, fmt=1)
         rc, doc = run_json(capsys, ["verify", str(path)])
         assert rc == 0
         assert checks_by_name(doc)["stored_metrics"]["residual"] == 0.0
 
+    def test_format_2_artifact_has_no_stored_metrics(self, capsys, tmp_path):
+        path = self.make_artifact(capsys, tmp_path, n=32)
+        rc, doc = run_json(capsys, ["verify", str(path)])
+        assert rc == 0
+        assert "stored_metrics" not in checks_by_name(doc)
+
     @pytest.mark.parametrize("tamper", ["entries", "scaled"])
     def test_tampered_stored_metrics_fail(self, capsys, tmp_path, tamper):
-        path = self.make_artifact(capsys, tmp_path, n=32)
+        path = self.make_artifact(capsys, tmp_path, n=32, fmt=1)
         art = json.loads(path.read_text())
         s_phi = art["matrices"]["s_phi"]["data"]
         s_eta = art["matrices"]["s_eta"]["data"]
@@ -657,15 +677,21 @@ class TestFloat64Overflow:
             assert json.loads(out.getvalue())["pass"] is (rc == 0)
 
 
+_MODEL_ARGVS = [["model", "chebyshev", "--n", str(n)] for n in range(2, 9)] + [
+    ["model", "two-param", "--beta", "2", "--delta", "-1"]
+]
+
+
 @functools.lru_cache(maxsize=None)
-def _model_artifacts() -> tuple:
-    """Artifacts that ``model -o`` writes: Chebyshev N = 2..8 and two-param (beta=2, delta=-1)."""
-    argvs = [["model", "chebyshev", "--n", str(n)] for n in range(2, 9)]
-    argvs.append(["model", "two-param", "--beta", "2", "--delta", "-1"])
+def _model_artifacts(fmt: int = 2) -> tuple:
+    """Artifacts of Chebyshev N = 2..8 and two-param (beta=2, delta=-1): as
+    ``model -o`` writes them (format 2), or their format-1 twins."""
+    if fmt == 1:
+        return tuple(as_format_1(doc) for doc in _model_artifacts())
     docs = []
     with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()):
         path = os.path.join(tmp, "artifact.json")
-        for argv in argvs:
+        for argv in _MODEL_ARGVS:
             assert main(argv + ["-o", path]) == 0
             with open(path) as fh:
                 docs.append(json.load(fh))
@@ -673,6 +699,8 @@ def _model_artifacts() -> tuple:
 
 
 _BLOCKS = ("eps", "phi", "eta", "m", "a", "b", "s_phi", "s_eta")
+# Format 2 stores no frame operators, so only format-1 artifacts draw them.
+_FORMAT_BLOCKS = {1: _BLOCKS, 2: _BLOCKS[:-2]}
 
 
 def _entry(doc, block: str, k: int):
@@ -705,21 +733,25 @@ class TestVerifyContract:
     """Artifacts edited in one entry get an honest exit: 0 or 1 with a report
     whose "pass" agrees, or 2 or 3 with one error line; never a traceback."""
 
-    artifact = st.integers(0, 7)
-    entry = st.tuples(st.sampled_from(_BLOCKS), st.integers(0, 10**6))
+    # (format, artifact index, block, entry index)
+    edit = st.sampled_from([1, 2]).flatmap(
+        lambda fmt: st.tuples(
+            st.just(fmt), st.integers(0, 7), st.sampled_from(_FORMAT_BLOCKS[fmt]), st.integers(0, 10**6)
+        )
+    )
 
     @settings(deadline=None, max_examples=80)
     @given(
-        artifact,
-        entry,
+        edit,
         st.one_of(
             st.tuples(st.just("perturb"), st.floats(allow_nan=False, allow_infinity=False)),
             st.tuples(st.just("scale"), st.floats(-1.0, 1.0)),
             st.tuples(st.sampled_from(["delete", "reshape"]), st.none()),
         ),
     )
-    def test_every_exit_is_honest(self, artifact, entry, mutation):
-        doc = copy.deepcopy(_model_artifacts()[artifact])
+    def test_every_exit_is_honest(self, edit, mutation):
+        fmt, artifact, *entry = edit
+        doc = copy.deepcopy(_model_artifacts(fmt)[artifact])
         holder, i, biggest = _entry(doc, *entry)
         action, value = mutation
         if action == "perturb":
@@ -742,14 +774,79 @@ class TestVerifyContract:
             assert json.loads(out)["pass"] is (rc == 0)
 
     @settings(deadline=None, max_examples=50)
-    @given(artifact, entry, st.sampled_from([-1.0, 1.0]))
-    def test_block_relative_edit_fails(self, artifact, entry, sign):
-        doc = copy.deepcopy(_model_artifacts()[artifact])
+    @given(edit, st.sampled_from([-1.0, 1.0]))
+    def test_block_relative_edit_fails(self, edit, sign):
+        fmt, artifact, *entry = edit
+        doc = copy.deepcopy(_model_artifacts(fmt)[artifact])
         holder, i, biggest = _entry(doc, *entry)
         holder[i] += sign * 1e-6 * biggest
         rc, out, err = _verify_text(json.dumps(doc))
         assert (rc, err) == (1, "")
         assert json.loads(out)["pass"] is False
+
+
+def _without_timestamp(report: str) -> dict:
+    doc = json.loads(report)
+    del doc["timestamp"]
+    return doc
+
+
+_MODEL_IDS = ["-".join(argv[1:2] + argv[3::2]) for argv in _MODEL_ARGVS]
+
+
+class TestArtifactFormats:
+    """A format-2 artifact and its format-1 twin get one verdict; the reader
+    takes ``"format": 2`` or no format key (format 1), and nothing else."""
+
+    @pytest.mark.parametrize("index", range(len(_MODEL_ARGVS)), ids=_MODEL_IDS)
+    def test_verify_gives_the_same_report(self, index):
+        (rc1, out1, err1), (rc2, out2, err2) = (
+            _verify_text(json.dumps(_model_artifacts(fmt)[index])) for fmt in (1, 2)
+        )
+        assert (rc1, err1, rc2, err2) == (0, "", 0, "")
+        v1, v2 = _without_timestamp(out1), _without_timestamp(out2)
+        axioms = next(sec for sec in v1["sections"] if sec["title"] == "axioms")
+        stored = next(c for c in axioms["checks"] if c["name"] == "stored_metrics")
+        assert (stored["residual"], stored["pass"]) == (0.0, True)
+        axioms["checks"].remove(stored)
+        assert v1 == v2
+
+    @pytest.mark.parametrize("index", range(len(_MODEL_ARGVS)), ids=_MODEL_IDS)
+    def test_convert_writes_the_same_pair(self, tmp_path, capsys, index):
+        results = []
+        for fmt in (1, 2):
+            src, dst = tmp_path / f"art{fmt}.json", tmp_path / f"pair{fmt}.json"
+            src.write_text(json.dumps(_model_artifacts(fmt)[index]))
+            rc = main(["convert", "nlrpb2crypto", str(src), "-o", str(dst)])
+            captured = capsys.readouterr()
+            results.append((rc, captured.err, _without_timestamp(captured.out), dst.read_bytes()))
+        assert results[0] == results[1]
+        assert results[0][0] == 0
+
+    @pytest.mark.parametrize("fmt, block", [(2, "m"), (2, "a"), (2, "b"), (1, "m"), (1, "s_phi"), (1, "s_eta")])
+    def test_missing_block_is_a_schema_error(self, fmt, block):
+        doc = copy.deepcopy(_model_artifacts(fmt)[0])
+        del doc["matrices"][block]
+        assert _verify_text(json.dumps(doc)) == (3, "", f"error: matrices must include {block!r}\n")
+
+    @pytest.mark.parametrize("value", [3, True, 2.0, "2", 1, None, [2]], ids=repr)
+    def test_any_other_format_is_a_schema_error(self, value):
+        doc = copy.deepcopy(_model_artifacts()[0])
+        doc["format"] = value
+        message = f"error: artifact format must be 2, or absent for format 1, not {value!r}\n"
+        assert _verify_text(json.dumps(doc)) == (3, "", message)
+
+    def test_stored_metrics_runs_when_both_frame_operators_are_stored(self):
+        doc = as_format_1(_model_artifacts()[3])
+        doc["format"] = 2
+        rc, out, _ = _verify_text(json.dumps(doc))
+        assert rc == 0 and checks_by_name(json.loads(out))["stored_metrics"]["residual"] == 0.0
+        doc["matrices"]["s_eta"]["data"][0] += 1.0
+        rc, out, _ = _verify_text(json.dumps(doc))
+        assert rc == 1 and not checks_by_name(json.loads(out))["stored_metrics"]["pass"]
+        del doc["matrices"]["s_phi"]
+        rc, out, _ = _verify_text(json.dumps(doc))
+        assert rc == 0 and "stored_metrics" not in checks_by_name(json.loads(out))
 
 
 class TestCheckSets:
@@ -769,6 +866,7 @@ class TestCheckSets:
         assert main(["model", "chebyshev", "--n", "5", "-o", str(paths["artifact"])]) == 0
         capsys.readouterr()
         docs = {
+            "artifact_format_1": as_format_1(serialize.load_document(paths["artifact"])),
             "system": serialize.system_to_dict(chebyshev_paper_normalization(3)),
             "bad_ground": serialize.system_to_dict(chebyshev_paper_normalization(3)),
             "pair": serialize.crypto_to_dict(from_nlrpb(chebyshev_model(3)[1])),
@@ -802,7 +900,7 @@ class TestCheckSets:
                 ],
             ),
             (
-                ["verify", "artifact"],
+                ["verify", "artifact_format_1"],
                 [
                     (
                         "axioms",
@@ -813,6 +911,23 @@ class TestCheckSets:
                                 ("eigen_relations", 1e-10),
                                 ("eps_structure", 0.0),
                                 ("stored_metrics", 1e-10),
+                                ("stored_params", 1e-10),
+                            ]
+                        ),
+                    )
+                ],
+            ),
+            (
+                ["verify", "artifact"],
+                [
+                    (
+                        "axioms",
+                        sorted(
+                            AXIOMS
+                            + [
+                                ("commutator_gaps", 1e-10),
+                                ("eigen_relations", 1e-10),
+                                ("eps_structure", 0.0),
                                 ("stored_params", 1e-10),
                             ]
                         ),
@@ -855,6 +970,7 @@ class TestCheckSets:
             "model-chebyshev",
             "model-two-param",
             "verify-artifact",
+            "verify-artifact-format-2",
             "verify-system",
             "verify-pair",
             "verify-bad-ground",
