@@ -218,7 +218,7 @@ def _cmd_verify(args) -> int:
     if kind == "artifact":
         family, params, system, mats = serialize.model_artifact_from_dict(doc_in)
         checks = []
-        if {"s_phi", "s_eta"} <= set(mats):  # stored by every format-1 artifact
+        if "s_phi" in mats:  # format 1; format 2 stores no frame operators
             checks.append(stored_metrics_check(system, mats["s_phi"], mats["s_eta"], tol))
         checks += [
             stored_params_check(family, params, system, tol),

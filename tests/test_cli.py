@@ -323,12 +323,6 @@ class TestVerifyCommand:
         assert rc == 0
         assert checks_by_name(doc)["stored_metrics"]["residual"] == 0.0
 
-    def test_format_2_artifact_has_no_stored_metrics(self, capsys, tmp_path):
-        path = self.make_artifact(capsys, tmp_path, n=32)
-        rc, doc = run_json(capsys, ["verify", str(path)])
-        assert rc == 0
-        assert "stored_metrics" not in checks_by_name(doc)
-
     @pytest.mark.parametrize("tamper", ["entries", "scaled"])
     def test_tampered_stored_metrics_fail(self, capsys, tmp_path, tamper):
         path = self.make_artifact(capsys, tmp_path, n=32, fmt=1)
@@ -699,8 +693,6 @@ def _model_artifacts(fmt: int = 2) -> tuple:
 
 
 _BLOCKS = ("eps", "phi", "eta", "m", "a", "b", "s_phi", "s_eta")
-# Format 2 stores no frame operators, so only format-1 artifacts draw them.
-_FORMAT_BLOCKS = {1: _BLOCKS, 2: _BLOCKS[:-2]}
 
 
 def _entry(doc, block: str, k: int):
@@ -733,25 +725,39 @@ class TestVerifyContract:
     """Artifacts edited in one entry get an honest exit: 0 or 1 with a report
     whose "pass" agrees, or 2 or 3 with one error line; never a traceback."""
 
-    # (format, artifact index, block, entry index)
-    edit = st.sampled_from([1, 2]).flatmap(
-        lambda fmt: st.tuples(
-            st.just(fmt), st.integers(0, 7), st.sampled_from(_FORMAT_BLOCKS[fmt]), st.integers(0, 10**6)
-        )
+    artifact = st.integers(0, 7)
+    entry = st.tuples(st.sampled_from(_BLOCKS), st.integers(0, 10**6))
+    # Format 2 stores no frame operators, so its twins draw the other blocks.
+    entry_format_2 = st.tuples(st.sampled_from(_BLOCKS[:-2]), st.integers(0, 10**6))
+    mutation = st.one_of(
+        st.tuples(st.just("perturb"), st.floats(allow_nan=False, allow_infinity=False)),
+        st.tuples(st.just("scale"), st.floats(-1.0, 1.0)),
+        st.tuples(st.sampled_from(["delete", "reshape"]), st.none()),
     )
 
     @settings(deadline=None, max_examples=80)
-    @given(
-        edit,
-        st.one_of(
-            st.tuples(st.just("perturb"), st.floats(allow_nan=False, allow_infinity=False)),
-            st.tuples(st.just("scale"), st.floats(-1.0, 1.0)),
-            st.tuples(st.sampled_from(["delete", "reshape"]), st.none()),
-        ),
-    )
-    def test_every_exit_is_honest(self, edit, mutation):
-        fmt, artifact, *entry = edit
-        doc = copy.deepcopy(_model_artifacts(fmt)[artifact])
+    @given(artifact, entry, mutation)
+    def test_every_exit_is_honest(self, artifact, entry, mutation):
+        self.check_honest_exit(_model_artifacts(1)[artifact], entry, mutation)
+
+    @settings(deadline=None, max_examples=80)
+    @given(artifact, entry_format_2, mutation)
+    def test_every_exit_is_honest_format_2(self, artifact, entry, mutation):
+        self.check_honest_exit(_model_artifacts(2)[artifact], entry, mutation)
+
+    @settings(deadline=None, max_examples=50)
+    @given(artifact, entry, st.sampled_from([-1.0, 1.0]))
+    def test_block_relative_edit_fails(self, artifact, entry, sign):
+        self.check_relative_edit_fails(_model_artifacts(1)[artifact], entry, sign)
+
+    @settings(deadline=None, max_examples=50)
+    @given(artifact, entry_format_2, st.sampled_from([-1.0, 1.0]))
+    def test_block_relative_edit_fails_format_2(self, artifact, entry, sign):
+        self.check_relative_edit_fails(_model_artifacts(2)[artifact], entry, sign)
+
+    @staticmethod
+    def check_honest_exit(artifact: dict, entry, mutation):
+        doc = copy.deepcopy(artifact)
         holder, i, biggest = _entry(doc, *entry)
         action, value = mutation
         if action == "perturb":
@@ -773,11 +779,9 @@ class TestVerifyContract:
             assert err == ""
             assert json.loads(out)["pass"] is (rc == 0)
 
-    @settings(deadline=None, max_examples=50)
-    @given(edit, st.sampled_from([-1.0, 1.0]))
-    def test_block_relative_edit_fails(self, edit, sign):
-        fmt, artifact, *entry = edit
-        doc = copy.deepcopy(_model_artifacts(fmt)[artifact])
+    @staticmethod
+    def check_relative_edit_fails(artifact: dict, entry, sign):
+        doc = copy.deepcopy(artifact)
         holder, i, biggest = _entry(doc, *entry)
         holder[i] += sign * 1e-6 * biggest
         rc, out, err = _verify_text(json.dumps(doc))
@@ -836,17 +840,13 @@ class TestArtifactFormats:
         message = f"error: artifact format must be 2, or absent for format 1, not {value!r}\n"
         assert _verify_text(json.dumps(doc)) == (3, "", message)
 
-    def test_stored_metrics_runs_when_both_frame_operators_are_stored(self):
-        doc = as_format_1(_model_artifacts()[3])
-        doc["format"] = 2
-        rc, out, _ = _verify_text(json.dumps(doc))
-        assert rc == 0 and checks_by_name(json.loads(out))["stored_metrics"]["residual"] == 0.0
-        doc["matrices"]["s_eta"]["data"][0] += 1.0
-        rc, out, _ = _verify_text(json.dumps(doc))
-        assert rc == 1 and not checks_by_name(json.loads(out))["stored_metrics"]["pass"]
-        del doc["matrices"]["s_phi"]
-        rc, out, _ = _verify_text(json.dumps(doc))
-        assert rc == 0 and "stored_metrics" not in checks_by_name(json.loads(out))
+    @pytest.mark.parametrize("keys", [("s_phi",), ("s_eta",), ("s_phi", "s_eta")], ids="+".join)
+    def test_format_2_refuses_frame_operators(self, keys):
+        doc = copy.deepcopy(_model_artifacts()[3])
+        stored = as_format_1(doc)["matrices"]
+        doc["matrices"].update({key: stored[key] for key in keys})
+        message = f"error: format-2 matrices must not include {keys[0]!r}\n"
+        assert _verify_text(json.dumps(doc)) == (3, "", message)
 
 
 class TestCheckSets:
