@@ -12,13 +12,14 @@ replaced, because the benchmark traces the eigensolver under that name;
 renaming it means updating the benchmark in the same change.
 
 Checks that read only eigenvalues (``pseudoboson.verify_axioms``'
-``p5_frame_bounds``, ``cryptoherm.verify_chwrt``'s ``metric_spd`` and the
-``model`` report's S_eta scalars) call ``symmetric_eigenvalues`` instead,
-which runs ``numpy.linalg.eigvalsh`` and skips the eigenvectors.  Both
-entries share one input rule (2-d, finite, square, symmetric) and raise
-the same errors.  The symmetry rule, ||a - a^T||_F within
-1e-12 max(||a||_F, 1), is ``symmetry_excess``: the eigensolvers raise on
-it and ``cryptoherm.verify_chwrt`` reports it in ``metric_spd``."""
+``p5_frame_bounds`` and the ``model`` report's S_eta scalars) call
+``symmetric_eigenvalues`` instead, which runs ``numpy.linalg.eigvalsh``
+and skips the eigenvectors.  Both entries share one input rule (2-d,
+finite, square, symmetric) and raise the same errors.  The symmetry rule,
+||a - a^T||_F within 1e-12 max(||a||_F, 1), is ``symmetry_excess``: the
+eigensolvers raise on it and ``cryptoherm.verify_chwrt`` reports it in
+``metric_spd``.  So ``verify_chwrt`` calls ``symmetric_part_eigenvalues``,
+which solves the exactly symmetric (Theta + Theta^T) / 2 without the rule."""
 
 from __future__ import annotations
 
@@ -215,7 +216,17 @@ def symmetric_eigenvalues(a) -> np.ndarray:
     """Ascending eigenvalues of a real symmetric matrix by LAPACK
     (``numpy.linalg.eigvalsh``), with ``jacobi_eigh``'s input rule and
     errors, for callers that never read the eigenvectors."""
-    sym = _symmetrized(a, "symmetric_eigenvalues")
+    return _eigvalsh(_symmetrized(a, "symmetric_eigenvalues"))
+
+
+def symmetric_part_eigenvalues(a: np.ndarray) -> np.ndarray:
+    """``symmetric_eigenvalues`` of (a + a^T) / 2 for a finite square
+    float64 matrix ``a`` that need not pass the symmetry rule.  That part
+    is exactly symmetric, so it is solved as it is, without the rule."""
+    return _eigvalsh(_checked((a + a.T) / 2.0, "symmetric_eigenvalues", 2))  # finite unless the sum overflowed
+
+
+def _eigvalsh(sym: np.ndarray) -> np.ndarray:
     try:
         # looked up per call, so a wrapper set on numpy.linalg sees the solve
         return np.linalg.eigvalsh(sym)

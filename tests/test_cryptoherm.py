@@ -15,7 +15,7 @@ from nlrpb.cryptoherm import (
     verify_chwrt,
 )
 from nlrpb.errors import ValidationError
-from nlrpb.linalg import jacobi_eigh, residual_norm
+from nlrpb.linalg import jacobi_eigh, residual_norm, spd_deficit, symmetry_excess
 from nlrpb.models import chebyshev_model, chebyshev_paper_normalization, two_param_model
 from nlrpb.pseudoboson import build_metrics, build_system, rescale
 
@@ -76,6 +76,17 @@ class TestVerifyChwrt:
     def test_dimension_mismatch_raises(self):
         with pytest.raises(ValidationError):
             verify_chwrt(np.eye(2), np.eye(3))
+
+    def test_one_eigenvalue_solve_of_the_symmetric_part(self, monkeypatch):
+        theta = np.array([[2.0, 0.5, 0.1], [0.3, 1.0, 0.0], [0.1, 0.0, 3.0]])  # asymmetric
+        solved = []
+        eigvalsh = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: solved.append(a.copy()) or eigvalsh(a))
+        rep = verify_chwrt(np.eye(3), theta)
+        assert len(solved) == 1
+        assert np.array_equal(solved[0], (theta + theta.T) / 2.0)
+        assert rep["metric_spd"].residual == max(0.0, symmetry_excess(theta), spd_deficit(eigvalsh(solved[0])))
+        assert not rep["metric_spd"].passed
 
 
 class TestHermitize:

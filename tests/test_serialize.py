@@ -1,3 +1,5 @@
+import dataclasses
+import datetime
 import json
 import math
 
@@ -266,9 +268,13 @@ class TestFileIO:
 
 # json.dumps with indent set is the reference encoder that dumps must match byte for byte.
 _FLOATS = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from([-0.0, 5e-324, 1e16, 1e-7, 1.0])
+# Text that looks like a number dumps rewrites, which must stay as it is in a
+# string or key, and DEL, which json escapes and orjson does not.
+_LOOKALIKES = st.sampled_from(["1e5", "e-5", "e+5", "0.00001", "10.00001", "\x7f"])
 _SCALARS = (
     st.text(alphabet=st.characters(), max_size=8)
     | st.sampled_from(['"', "\\", "\n", "\x00", "\x1f", "\u00e9", "\u2028", "\U0001f600"])
+    | _LOOKALIKES
     | st.integers() | st.integers(min_value=2**63 - 2, max_value=2**70) | st.integers(max_value=-(2**63))
     | _FLOATS | st.booleans() | st.none()
 )
@@ -276,7 +282,7 @@ _DOCUMENTS = st.recursive(
     _SCALARS,
     lambda children: st.lists(children, max_size=5)
     | st.lists(_FLOATS, max_size=8)
-    | st.dictionaries(st.text(max_size=6), children, max_size=5),
+    | st.dictionaries(st.text(max_size=6) | _LOOKALIKES, children, max_size=5),
     max_leaves=30,
 )
 _NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
@@ -336,6 +342,21 @@ class TestLoadDocument:
         assert serialize.load_document(path) == {"s": brackets, "t": ['"[', "\\"]}
 
 
+# Types json writes or refuses that orjson writes unless told to pass them on.
+@dataclasses.dataclass
+class Point:
+    x: float
+    y: float
+
+
+class Mapping(dict):
+    pass
+
+
+class Sequence(list):
+    pass
+
+
 class TestDumps:
     @given(_DOCUMENTS)
     @settings(max_examples=200, deadline=None)
@@ -352,13 +373,33 @@ class TestDumps:
         with pytest.raises(ValueError):
             serialize.dumps(doc)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+    def test_non_finite_beside_null_raises(self, bad):
+        # orjson writes both None and a non-finite float as null.
+        doc = {"none": None, "x": [1.0, {"y": bad}]}
+        with pytest.raises(ValueError):
+            json.dumps(doc, indent=2, allow_nan=False)
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            serialize.dumps(doc)
+
     def test_tuples_and_float_subclasses(self):
         doc = {"t": (1.5, 2), "f": (0.5, 1e-07), "n": [np.float64(0.1), 3.0], "e": [(), {}]}
         assert serialize.dumps(doc) == json.dumps(doc, indent=2, allow_nan=False)
 
     def test_unsupported_type_raises(self):
-        with pytest.raises(TypeError):
-            serialize.dumps({"x": np.int64(1)})
+        # orjson writes dataclasses and dates, which json refuses.
+        for value in (np.int64(1), Point(1.0, 2.0), datetime.date(2020, 1, 2)):
+            with pytest.raises(TypeError):
+                json.dumps({"x": value}, indent=2, allow_nan=False)
+            with pytest.raises(TypeError):
+                serialize.dumps({"x": value})
+
+    def test_non_finite_in_subclasses_raises(self):
+        doc = Mapping(a=None, b=Sequence([1.0, math.nan]))
+        with pytest.raises(ValueError):
+            json.dumps(doc, indent=2, allow_nan=False)
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            serialize.dumps(doc)
 
 
 def _json_dumps(obj) -> str:
@@ -383,9 +424,10 @@ class TestDumpsFloatLists:
         assert_same_lines(serialize.dumps({"x": _DECADES}), _json_dumps({"x": _DECADES}))
 
     def test_each_value_alone_and_last(self):
-        # The last entry of a list has no comma after it to anchor a rewrite.
+        # The last entry of a list has no comma after it to anchor a rewrite,
+        # and a bare value starts the text, with nothing before it.
         for value in _DECADES:
-            for doc in ([value], [1.0, value], [value, value]):
+            for doc in (value, [value], [1.0, value], [value, value]):
                 assert serialize.dumps(doc) == _json_dumps(doc)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
