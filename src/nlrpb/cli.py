@@ -11,12 +11,15 @@ Every command prints a report document (JSON unless paper-tables is
 given ``--format csv|md``) and exits 0 when all checks pass, 1 on
 verification failure, 2 on invalid parameters (or when memory runs
 out, or float64 arithmetic overflows or turns invalid), 3 on I/O or
-parse errors.  The NLRPB_TOL environment variable sets the default
-residual tolerance of ``model``, ``verify`` and ``convert``; ``verify
---tol`` takes precedence.  ``paper-tables`` ignores it: each golden check
-has its own tolerance.  Positive-definiteness gates always keep tolerance 0.
-Checks are sorted by name inside every section, and file output is
-written atomically.
+parse errors.  The gates run cheapest first: arguments, the input's
+schema and structure, the ``-o`` destination, the numerics, the write.
+So an unusable ``-o`` destination exits 3 before any model is built or
+matrix factorized, even where the numerics would have exited 2.  The
+NLRPB_TOL environment variable sets the default residual tolerance of
+``model``, ``verify`` and ``convert``; ``verify --tol`` takes precedence.
+``paper-tables`` ignores it: each golden check has its own tolerance.
+Positive-definiteness gates always keep tolerance 0.  Checks are sorted
+by name inside every section, and file output is written atomically.
 """
 
 from __future__ import annotations
@@ -184,6 +187,8 @@ def _cmd_model(args) -> int:
         verb = "does" if len(foreign) == 1 else "do"
         raise ValidationError("/".join(f"--{key}" for key in foreign) + f" {verb} not apply to the {family} family")
     spec = spec_type(*(getattr(args, key) for key in keys))
+    if args.output:
+        serialize.check_destination(args.output)
     if family == "chebyshev":
         m, system = chebyshev_model(spec.n)
         ladders = build_ladders(system)
@@ -243,6 +248,8 @@ def _cmd_convert(args) -> int:
         else:
             raise SchemaError("nlrpb2crypto expects a system or model artifact document")
         system = build_system(loose.phi, loose.eta, loose.eps, tol)
+        if args.output:
+            serialize.check_destination(args.output)
         pair, checks = nlrpb_roundtrip(system, tol)
         out_doc = serialize.crypto_to_dict(pair)
         sections = [
@@ -254,6 +261,8 @@ def _cmd_convert(args) -> int:
         if kind != "pair":
             raise SchemaError("crypto2nlrpb expects an (h_matrix, theta) pair document")
         pair = serialize.crypto_from_dict(doc_in)
+        if args.output:
+            serialize.check_destination(args.output)
         system, shift, checks = crypto_roundtrip(pair, tol)
         out_doc = serialize.system_to_dict(system)
         sections = [

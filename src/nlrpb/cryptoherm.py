@@ -44,6 +44,7 @@ from .linalg import (
     spd_deficit,
     spd_inv_sqrt,
     spd_sqrt,
+    symmetric_part,
     symmetric_part_eigenvalues,
     symmetry_excess,
 )
@@ -153,7 +154,7 @@ def hermitized_checks(h_matrix, theta, tolerance=None):
     n = h.shape[0]
     raw = spd_sqrt(t) @ h @ spd_inv_sqrt(t)
     asym = residual_norm(raw, raw.T) / max(float(frobenius_norm(raw)), 1.0)
-    sym = (raw + raw.T) / 2.0
+    sym = symmetric_part(raw)
     eig = jacobi_eigh(sym)
     lam = eig.eigenvalues
     checks.append(Check("hermitized_symmetry", asym, effective_tolerance(n, tolerance)))

@@ -19,7 +19,10 @@ finite, square, symmetric) and raise the same errors.  The symmetry rule,
 ||a - a^T||_F within 1e-12 max(||a||_F, 1), is ``symmetry_excess``: the
 eigensolvers raise on it and ``cryptoherm.verify_chwrt`` reports it in
 ``metric_spd``.  So ``verify_chwrt`` calls ``symmetric_part_eigenvalues``,
-which solves the exactly symmetric (Theta + Theta^T) / 2 without the rule."""
+which solves the exactly symmetric (Theta + Theta^T) / 2 without the rule.
+Every symmetrization is ``symmetric_part``, which halves before it adds,
+so that entries near the float64 range do not overflow to inf and make
+the eigenvalues NaN."""
 
 from __future__ import annotations
 
@@ -182,15 +185,23 @@ def _fix_signs(vecs: np.ndarray) -> None:
     vecs[:, lead < 0.0] *= -1.0
 
 
+def symmetric_part(a: np.ndarray) -> np.ndarray:
+    """(a + a^T) / 2, computed as a/2 + a^T/2: finite for every finite
+    ``a``, where the sum overflows for entries above about 9e307.  Bit for
+    bit the same whenever no entry of a/2 is subnormal."""
+    half = a * 0.5
+    return half + half.T
+
+
 def _symmetrized(a, name: str) -> np.ndarray:
-    """(a + a^T) / 2 after the eigensolvers' one input rule: ``a`` is a
-    finite square float64 matrix that passes ``symmetry_excess``."""
+    """``symmetric_part(a)`` after the eigensolvers' one input rule: ``a`` is
+    a finite square float64 matrix that passes ``symmetry_excess``."""
     a = _checked(np.asarray(a, dtype=float), name, 2)  # no copy: the solve runs on a new array
     if a.shape[0] != a.shape[1]:
         raise ValidationError(f"{name}: matrix must be square, got {a.shape}")
     if symmetry_excess(a) > 0.0:
         raise ValidationError(f"{name}: matrix is not symmetric within tolerance")
-    return (a + a.T) / 2.0
+    return symmetric_part(a)
 
 
 def jacobi_eigh(a) -> SymEig:
@@ -220,10 +231,10 @@ def symmetric_eigenvalues(a) -> np.ndarray:
 
 
 def symmetric_part_eigenvalues(a: np.ndarray) -> np.ndarray:
-    """``symmetric_eigenvalues`` of (a + a^T) / 2 for a finite square
+    """``symmetric_eigenvalues`` of ``symmetric_part(a)`` for a finite square
     float64 matrix ``a`` that need not pass the symmetry rule.  That part
-    is exactly symmetric, so it is solved as it is, without the rule."""
-    return _eigvalsh(_checked((a + a.T) / 2.0, "symmetric_eigenvalues", 2))  # finite unless the sum overflowed
+    is exactly symmetric, and finite, so it is solved as it is."""
+    return _eigvalsh(symmetric_part(a))
 
 
 def _eigvalsh(sym: np.ndarray) -> np.ndarray:
@@ -255,8 +266,7 @@ def _spd_root(a, name: str, scale) -> np.ndarray:
             f"(smallest eigenvalue {float(lam[0]):.6e}, largest {float(lam[-1]):.6e})"
         )
     v = eig.eigenvectors
-    r = scale(v, np.sqrt(lam)) @ v.T
-    return (r + r.T) / 2.0
+    return symmetric_part(scale(v, np.sqrt(lam)) @ v.T)
 
 
 def spd_sqrt(a) -> np.ndarray:

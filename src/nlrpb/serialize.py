@@ -68,18 +68,27 @@ error, when orjson cannot match it:
   writes as ``null``.
 
 orjson still writes ``uuid.UUID`` and enum members, which json refuses;
-nlrpb passes neither.  Writes go to a temp file next to the target
-followed by os.replace, so readers never observe partial documents.
+nlrpb passes neither.  The finiteness walk checks a list that starts
+with a float with one ``sum``, and walks it entry by entry only when that
+sum is not finite or raises.
+
+Writes go to a temp file next to the target followed by os.replace, so
+readers never observe partial documents.  ``check_destination`` is the
+rule for a target that cannot be written at all.  ``write_document``
+applies it first, and the CLI applies it before computing a document, so
+such a target is refused without the work, with the same OSError.
 """
 
 from __future__ import annotations
 
 import contextlib
+import errno
 import itertools
 import json
 import math
 import os
 import re
+import stat
 import tempfile
 
 import numpy as np
@@ -92,6 +101,7 @@ from .pseudoboson import BiorthogonalSystem
 
 __all__ = [
     "MAX_DEPTH",
+    "check_destination",
     "crypto_from_dict",
     "crypto_to_dict",
     "detect_kind",
@@ -309,7 +319,16 @@ def _all_finite(obj) -> bool:
         return math.isfinite(obj)
     if kind is dict:
         obj = obj.values()
-    elif kind is not list and kind is not tuple:
+    elif kind is list or kind is tuple:
+        # One C-level sum is finite only if every entry is.  It is tried on
+        # lists that start with a float; a list whose sum raises or
+        # overflows is walked too.
+        try:
+            if obj and type(obj[0]) is float and math.isfinite(sum(obj)):
+                return True
+        except (TypeError, OverflowError):  # a str, None or container; an int beyond the float range
+            pass
+    else:
         return True
     return all(map(_all_finite, obj))
 
@@ -363,15 +382,34 @@ def load_document(path):
         raise SchemaError(f"{path}: not valid JSON ({exc})") from exc
 
 
+def check_destination(path) -> None:
+    """Raise the OSError that ``write_document(path, ...)`` would raise for
+    a target it cannot write at all, naming ``path``; return otherwise.
+
+    An existing target that is not a regular file (a FIFO, a device node,
+    a directory) is refused: the rename would replace it.  A missing
+    parent directory, or a parent that is not a directory, is the error
+    creating the temp file there would give.  Nothing is created, and
+    write permission is not judged.
+    """
+    target = os.fspath(path)
+    if os.path.exists(target) and not os.path.isfile(target):
+        raise OSError(f"{target}: not a regular file, refusing to replace it")
+    try:
+        mode = os.stat(os.path.dirname(os.path.abspath(target))).st_mode
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, target) from None
+    if not stat.S_ISDIR(mode):
+        raise OSError(errno.ENOTDIR, os.strerror(errno.ENOTDIR), target)
+
+
 def write_document(path, obj) -> None:
     """Serialize obj to path via a temp file and atomic rename.
 
-    An existing target that is not a regular file (a FIFO, a device node,
-    a directory) raises OSError and is left untouched: the rename would
-    replace it.
+    A target ``check_destination`` refuses raises its OSError before obj
+    is serialized, and is left untouched.
     """
-    if os.path.exists(path) and not os.path.isfile(path):
-        raise OSError(f"{os.fspath(path)}: not a regular file, refusing to replace it")
+    check_destination(path)
     text = dumps(obj) + "\n"
     try:
         fd, tmp = tempfile.mkstemp(prefix=".nlrpb-", suffix=".tmp", dir=os.path.dirname(os.path.abspath(path)))

@@ -207,6 +207,112 @@ class TestModelCommand:
         assert sorted(os.listdir(tmp_path)) == ["art.json"]
 
 
+class TestUnusableDestination:
+    """An -o target that cannot be written exits 3 after the input gates and
+    before any model build, round trip or serialization."""
+
+    # each writing command, and the computation it must not reach
+    WRITERS = {
+        "chebyshev": (["model", "chebyshev", "--n", "8"], "chebyshev_model"),
+        "two-param": (["model", "two-param", "--beta", "2", "--delta", "-1"], "two_param_model"),
+        "nlrpb2crypto": (["convert", "nlrpb2crypto", "{art}"], "nlrpb_roundtrip"),
+        "crypto2nlrpb": (["convert", "crypto2nlrpb", "{pair}"], "crypto_roundtrip"),
+    }
+    FAULTS = {
+        "missing-parent": ("missing/out.json", "No such file or directory"),
+        "parent-is-a-file": ("plain/out.json", "Not a directory"),
+        "target-is-a-directory": ("dir", "not a regular file"),
+        "fifo": ("fifo", "not a regular file"),
+    }
+
+    @staticmethod
+    def inputs(tmp_path, capsys):
+        inputs = tmp_path / "inputs"
+        inputs.mkdir()
+        art, pair = inputs / "art.json", inputs / "pair.json"
+        assert main(["model", "chebyshev", "--n", "4", "-o", str(art)]) == 0
+        assert main(["convert", "nlrpb2crypto", str(art), "-o", str(pair)]) == 0
+        capsys.readouterr()
+        return {"art": art, "pair": pair}
+
+    @staticmethod
+    def refuse(monkeypatch, *names):
+        def fail(*args, **kwargs):
+            raise AssertionError("computed for an unusable destination")
+
+        for name in names:
+            monkeypatch.setattr(f"nlrpb.cli.{name}", fail)
+        monkeypatch.setattr(serialize, "dumps", fail)
+
+    @staticmethod
+    def assert_refused(capsys, tmp_path, target, words):
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("error: ")
+        assert str(target) in lines[0] and words in lines[0]
+        assert ".nlrpb-" not in lines[0]
+        assert not [name for _, _, names in os.walk(tmp_path) for name in names if name.startswith(".nlrpb-")]
+
+    @pytest.mark.parametrize("fault", FAULTS)
+    @pytest.mark.parametrize("writer", WRITERS)
+    def test_refused_before_computing(self, capsys, tmp_path, monkeypatch, writer, fault):
+        if fault == "fifo" and not hasattr(os, "mkfifo"):
+            pytest.skip("needs named pipes")
+        paths = self.inputs(tmp_path, capsys)
+        (tmp_path / "plain").write_text("")
+        (tmp_path / "dir").mkdir()
+        if fault == "fifo":
+            os.mkfifo(tmp_path / "fifo")
+        argv, computation = self.WRITERS[writer]
+        relative, words = self.FAULTS[fault]
+        target = tmp_path / relative
+        self.refuse(monkeypatch, computation)
+        assert main([arg.format(**paths) for arg in argv] + ["-o", str(target)]) == 3
+        self.assert_refused(capsys, tmp_path, target, words)
+        assert (tmp_path / "plain").read_text() == ""
+        assert os.listdir(tmp_path / "dir") == []
+        if fault == "fifo":
+            assert stat.S_ISFIFO(os.stat(target).st_mode)
+
+    def test_invalid_parameters_come_first(self, capsys, tmp_path, monkeypatch):
+        self.refuse(monkeypatch, "chebyshev_model")
+        assert main(["model", "chebyshev", "--n", "1", "-o", str(tmp_path / "missing" / "x")]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: chebyshev family: size")
+
+    @pytest.mark.parametrize("direction, source", [("nlrpb2crypto", "art"), ("crypto2nlrpb", "pair")])
+    def test_schema_errors_come_first(self, capsys, tmp_path, monkeypatch, direction, source):
+        path = tmp_path / "truncated.json"
+        path.write_text(self.inputs(tmp_path, capsys)[source].read_text()[:200])
+        self.refuse(monkeypatch, "nlrpb_roundtrip", "crypto_roundtrip")
+        assert main(["convert", direction, str(path), "-o", str(tmp_path / "missing" / "x")]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {path}: not valid JSON")
+
+    def test_invalid_system_comes_first(self, capsys, tmp_path, monkeypatch):
+        paths = self.inputs(tmp_path, capsys)
+        doc = json.loads(paths["art"].read_text())
+        doc["system"]["phi"][0][1] += 1e-3  # broken biorthonormality
+        path = tmp_path / "broken.json"
+        path.write_text(json.dumps(doc))
+        self.refuse(monkeypatch, "nlrpb_roundtrip")
+        assert main(["convert", "nlrpb2crypto", str(path), "-o", str(tmp_path / "missing" / "x")]) == 2
+        assert "biorthonormality" in capsys.readouterr().err
+
+    def test_destination_comes_before_the_numerics(self, capsys, tmp_path):
+        # The numerics overflow (exit 2 without -o); the destination is judged first.
+        argv = ["model", "two-param", "--beta=1e-300", "--delta=-1"]
+        assert main(argv) == 2
+        capsys.readouterr()
+        target = tmp_path / "missing" / "x"
+        assert main([*argv, "-o", str(target)]) == 3
+        self.assert_refused(capsys, tmp_path, target, "No such file or directory")
+
+
 class TestVerifyCommand:
     def make_artifact(self, capsys, tmp_path, n=4, fmt=2):
         path = tmp_path / "art.json"
@@ -654,6 +760,19 @@ class TestFloat64Overflow:
         assert main(["verify", str(system)]) == 0
         assert main(["convert", "nlrpb2crypto", str(system)]) == 0
         assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize("sign, rc", [(1.0, 0), (-1.0, 1)])
+    def test_metric_near_the_float64_range(self, capsys, tmp_path, sign, rc):
+        # Theta + Theta^T overflows; the verdict comes from Theta's symmetric part.
+        pair = tmp_path / "pair.json"
+        theta = np.diag([sign * 1e308, sign * 5e307])
+        serialize.write_document(pair, serialize.crypto_to_dict(CryptoPair(np.diag([0.25, 0.5]), theta)))
+        assert main(["verify", str(pair)]) == rc
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        checks = checks_by_name(json.loads(captured.out))
+        assert checks["metric_spd"]["pass"] == (sign > 0.0)
+        assert checks["cryptohermiticity"]["pass"]
 
     @settings(deadline=None, max_examples=300)
     @given(st.floats(allow_nan=False, allow_infinity=False), st.floats(allow_nan=False, allow_infinity=False))

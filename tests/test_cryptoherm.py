@@ -63,6 +63,17 @@ class TestVerifyChwrt:
         assert not rep["cryptohermiticity"].passed
         assert rep["metric_spd"].passed
 
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_metric_near_the_float64_range(self, sign):
+        # Theta + Theta^T overflows; the symmetric part of Theta does not.
+        h, theta = np.diag([0.25, 0.5]), np.diag([sign * 1e308, sign * 5e307])
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            rep = verify_chwrt(h, theta)
+            assert rep["cryptohermiticity"].passed
+            assert rep["metric_spd"].passed == (sign > 0.0)
+            if sign > 0.0:
+                assert hermitize(h, theta).spectrum == pytest.approx([0.0, 0.25], abs=1e-15)
+
     def test_indefinite_metric_fails_spd_gate(self):
         rep = verify_chwrt(np.diag([1.0, 2.0]), np.diag([1.0, -1.0]))
         assert not rep["metric_spd"].passed

@@ -22,6 +22,7 @@ from nlrpb.linalg import (
     spd_inv_sqrt,
     spd_sqrt,
     symmetric_eigenvalues,
+    symmetric_part,
     symmetry_excess,
 )
 from nlrpb.models import chebyshev_model
@@ -313,6 +314,38 @@ class TestSymmetricEigenvalues:
         symmetric_eigenvalues(a)
         jacobi_eigh(a)
         assert np.array_equal(a, before)
+
+
+# Entries whose halves are not subnormal and whose pairwise sums stay finite.
+_NORMAL_HALVES = st.floats(min_value=-8e307, max_value=8e307).filter(lambda x: x == 0.0 or abs(x) >= 2 * np.finfo(float).tiny)
+
+
+class TestSymmetricPart:
+    @settings(deadline=None, max_examples=200)
+    @given(st.integers(min_value=1, max_value=6).flatmap(lambda n: hnp.arrays(float, (n, n), elements=_NORMAL_HALVES)))
+    def test_bit_for_bit_the_halved_sum(self, a):
+        assert symmetric_part(a).tobytes() == ((a + a.T) / 2.0).tobytes()
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_entries_near_the_float64_range(self, sign):
+        # a + a^T overflows to inf, which made both solvers return NaN
+        # eigenvalues and spd_deficit read them as positive definite.
+        a = np.diag([sign * 1e308, sign * 5e307])
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            assert np.array_equal(symmetric_part(a), a)
+            lam = symmetric_eigenvalues(a)
+            eig = jacobi_eigh(a)
+        expected = sorted([sign * 1e308, sign * 5e307])
+        assert lam.tolist() == expected
+        assert eig.eigenvalues.tolist() == expected
+        assert (spd_deficit(lam) == 0.0) == (sign > 0.0)
+
+    def test_spd_roots_near_the_float64_range(self):
+        a = np.diag([1e308, 5e307])
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            root, inv_root = spd_sqrt(a), spd_inv_sqrt(a)
+        assert np.allclose(root, np.diag(np.sqrt([1e308, 5e307])), rtol=1e-15, atol=0.0)
+        assert np.allclose(inv_root, np.diag(1.0 / np.sqrt([1e308, 5e307])), rtol=1e-15, atol=0.0)
 
 
 class TestSpdDeficit:

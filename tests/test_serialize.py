@@ -2,6 +2,8 @@ import dataclasses
 import datetime
 import json
 import math
+import os
+import tempfile
 
 import numpy as np
 import pytest
@@ -266,6 +268,57 @@ class TestFileIO:
             serialize.dumps({"x": float("nan")})
 
 
+def _unusable_destinations(tmp_path):
+    """(target, words of its error) for each target check_destination refuses."""
+    (tmp_path / "plain").write_text("")
+    (tmp_path / "dir").mkdir()
+    cases = [
+        (tmp_path / "missing" / "out.json", "No such file or directory"),
+        (tmp_path / "missing" / "deeper" / "out.json", "No such file or directory"),
+        (tmp_path / "plain" / "out.json", "Not a directory"),
+        (tmp_path / "dir", "not a regular file"),
+    ]
+    if hasattr(os, "mkfifo"):
+        os.mkfifo(tmp_path / "fifo")
+        cases.append((tmp_path / "fifo", "not a regular file"))
+    return cases
+
+
+class TestCheckDestination:
+    def test_usable_targets_pass(self, tmp_path):
+        (tmp_path / "old.json").write_text("{}")
+        for target in (tmp_path / "new.json", tmp_path / "old.json", "relative.json"):
+            assert serialize.check_destination(target) is None
+        assert sorted(os.listdir(tmp_path)) == ["old.json"]
+
+    def test_unusable_targets_raise_what_the_write_raises(self, tmp_path, monkeypatch):
+        def refuse(obj):
+            raise AssertionError("serialized for a refused target")
+
+        for target, words in _unusable_destinations(tmp_path):
+            before = sorted(os.listdir(tmp_path))
+            with pytest.raises(OSError) as early:
+                serialize.check_destination(target)
+            with monkeypatch.context() as patch:
+                patch.setattr(serialize, "dumps", refuse)
+                with pytest.raises(OSError) as late:
+                    serialize.write_document(target, {"a": 1})
+            assert str(early.value) == str(late.value)
+            assert type(early.value) is type(late.value)
+            assert words in str(early.value) and str(target) in str(early.value)
+            assert sorted(os.listdir(tmp_path)) == before
+
+    def test_missing_parent_matches_the_temp_file_error(self, tmp_path):
+        # The error the unchecked write gave: creating the temp file failed.
+        target = tmp_path / "missing" / "out.json"
+        with pytest.raises(OSError) as created:
+            tempfile.mkstemp(dir=target.parent)
+        with pytest.raises(OSError) as checked:
+            serialize.check_destination(target)
+        assert (checked.value.errno, checked.value.strerror) == (created.value.errno, created.value.strerror)
+        assert checked.value.filename == str(target)
+
+
 # json.dumps with indent set is the reference encoder that dumps must match byte for byte.
 _FLOATS = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from([-0.0, 5e-324, 1e16, 1e-7, 1.0])
 # Text that looks like a number dumps rewrites, which must stay as it is in a
@@ -393,6 +446,37 @@ class TestDumps:
                 json.dumps({"x": value}, indent=2, allow_nan=False)
             with pytest.raises(TypeError):
                 serialize.dumps({"x": value})
+
+    @pytest.mark.parametrize(
+        "obj, finite",
+        [
+            ([0.5] * 5000 + [math.nan] + [0.25] * 5000, False),
+            ([1.0, math.inf, 2.0, -math.inf], False),
+            ([1e308, 1e308], True),
+            ([-1e308, -1e308, math.nan], False),
+            ([10**400, 1.0], True),
+            ([1.0, 10**400], True),
+            ([10**400, math.inf], False),
+            ([1.0, 10**400, -math.inf], False),
+            ([[1.0, 2.0], [3.0, 4.0]], True),
+            ([[1.0, 2.0], [[3.0], [math.nan]]], False),
+            (["x", 1.0, None, True], True),
+            ([0.5, "x", None, True], True),
+            ([0.5, None, math.nan], False),
+            ({"a": [None, {"b": (1.0, -math.inf)}]}, False),
+        ],
+        ids=["nan-deep", "inf-and-minus-inf", "sum-overflows", "sum-overflows-nan", "huge-int", "float-then-huge-int",
+             "huge-int-inf", "float-then-huge-int-inf", "nested", "nested-nan", "mixed", "float-then-mixed",
+             "float-then-mixed-nan", "tuple-in-dict"],
+    )
+    def test_all_finite(self, obj, finite):
+        assert serialize._all_finite(obj) is finite
+        doc = {"null": None, "x": obj}  # null makes dumps ask _all_finite
+        if finite:
+            assert serialize.dumps(doc) == json.dumps(doc, indent=2, allow_nan=False)
+        else:
+            with pytest.raises(ValueError, match="not JSON compliant"):
+                serialize.dumps(doc)
 
     def test_non_finite_in_subclasses_raises(self):
         doc = Mapping(a=None, b=Sequence([1.0, math.nan]))
