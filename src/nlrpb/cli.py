@@ -187,7 +187,7 @@ def _cmd_model(args) -> int:
         verb = "does" if len(foreign) == 1 else "do"
         raise ValidationError("/".join(f"--{key}" for key in foreign) + f" {verb} not apply to the {family} family")
     spec = spec_type(*(getattr(args, key) for key in keys))
-    if args.output:
+    if args.output is not None:
         serialize.check_destination(args.output)
     if family == "chebyshev":
         m, system = chebyshev_model(spec.n)
@@ -202,7 +202,7 @@ def _cmd_model(args) -> int:
         _metric_scalars(build_metrics(system).s_eta),
         checks_section("verification", system_checks(system, ladders, m, tol)),
     ]
-    if args.output:
+    if args.output is not None:
         mats = {"m": m, "a": ladders.a, "b": ladders.b}
         serialize.write_document(args.output, serialize.model_artifact_to_dict(family, dataclasses.asdict(spec), system, mats))
     return print_report("model", meta, sections)
@@ -248,7 +248,7 @@ def _cmd_convert(args) -> int:
         else:
             raise SchemaError("nlrpb2crypto expects a system or model artifact document")
         system = build_system(loose.phi, loose.eta, loose.eps, tol)
-        if args.output:
+        if args.output is not None:
             serialize.check_destination(args.output)
         pair, checks = nlrpb_roundtrip(system, tol)
         out_doc = serialize.crypto_to_dict(pair)
@@ -261,7 +261,7 @@ def _cmd_convert(args) -> int:
         if kind != "pair":
             raise SchemaError("crypto2nlrpb expects an (h_matrix, theta) pair document")
         pair = serialize.crypto_from_dict(doc_in)
-        if args.output:
+        if args.output is not None:
             serialize.check_destination(args.output)
         system, shift, checks = crypto_roundtrip(pair, tol)
         out_doc = serialize.system_to_dict(system)
@@ -270,7 +270,7 @@ def _cmd_convert(args) -> int:
             spectrum_section("spectrum", system.eps),
             scalars_section("hermitized", {"shift": shift}),
         ]
-    if args.output:
+    if args.output is not None:
         serialize.write_document(args.output, out_doc)
     return print_report("convert", meta, sections)
 

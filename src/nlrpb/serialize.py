@@ -73,10 +73,10 @@ with a float with one ``sum``, and walks it entry by entry only when that
 sum is not finite or raises.
 
 Writes go to a temp file next to the target followed by os.replace, so
-readers never observe partial documents.  ``check_destination`` is the
-rule for a target that cannot be written at all.  ``write_document``
-applies it first, and the CLI applies it before computing a document, so
-such a target is refused without the work, with the same OSError.
+readers never observe partial documents.  The target is judged as given,
+never normalized, by ``check_destination``, which returns the directory
+the temp file goes in.  The CLI applies it before computing a document,
+so a target that cannot be written is refused without the work.
 """
 
 from __future__ import annotations
@@ -382,44 +382,44 @@ def load_document(path):
         raise SchemaError(f"{path}: not valid JSON ({exc})") from exc
 
 
-def check_destination(path) -> None:
-    """Raise the OSError that ``write_document(path, ...)`` would raise for
-    a target it cannot write at all, naming ``path``; return otherwise.
+def check_destination(path) -> str:
+    """Return the directory ``os.replace`` resolves ``path`` in, which
+    ``write_document`` writes in; raise the OSError the write would raise,
+    naming ``path``, for a target it cannot write at all.
 
-    An existing target that is not a regular file (a FIFO, a device node,
-    a directory) is refused: the rename would replace it.  A missing
-    parent directory, or a parent that is not a directory, is the error
-    creating the temp file there would give.  Nothing is created, and
-    write permission is not judged.
+    ``path`` is judged as given.  An existing target that is not a regular
+    file (a FIFO, a device node, a directory) is refused: the rename would
+    replace it.  A directory part that is missing or not a directory, as
+    in ``nothere/`` or ``missing/../x``, and the empty path fail as creating
+    the temp file would.  Nothing is created, and write permission is not judged.
     """
     target = os.fspath(path)
     if os.path.exists(target) and not os.path.isfile(target):
         raise OSError(f"{target}: not a regular file, refusing to replace it")
+    directory = os.path.dirname(target) or target and os.curdir  # "" stays "": os.stat raises ENOENT
     try:
-        mode = os.stat(os.path.dirname(os.path.abspath(target))).st_mode
+        if not stat.S_ISDIR(os.stat(directory).st_mode):
+            raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR))
     except OSError as exc:
         raise OSError(exc.errno, exc.strerror, target) from None
-    if not stat.S_ISDIR(mode):
-        raise OSError(errno.ENOTDIR, os.strerror(errno.ENOTDIR), target)
+    return directory
 
 
 def write_document(path, obj) -> None:
-    """Serialize obj to path via a temp file and atomic rename.
-
-    A target ``check_destination`` refuses raises its OSError before obj
-    is serialized, and is left untouched.
-    """
-    check_destination(path)
+    """Serialize obj to path via a temp file and atomic rename.  A target
+    ``check_destination`` refuses is left untouched; every OSError names path."""
+    directory = check_destination(path)
     text = dumps(obj) + "\n"
+    tmp = None
     try:
-        fd, tmp = tempfile.mkstemp(prefix=".nlrpb-", suffix=".tmp", dir=os.path.dirname(os.path.abspath(path)))
-    except OSError as exc:  # name the target, not the temp file's random name
-        raise OSError(exc.errno, exc.strerror, os.fspath(path)) from None
-    try:
+        fd, tmp = tempfile.mkstemp(prefix=".nlrpb-", suffix=".tmp", dir=directory)
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             fh.write(text)
         os.replace(tmp, path)
-    except BaseException:
-        with contextlib.suppress(OSError):
-            os.unlink(tmp)
-        raise
+        tmp = None
+    except OSError as exc:  # name the target, not the temp file's random name
+        raise OSError(exc.errno, exc.strerror, os.fspath(path)) from None
+    finally:
+        if tmp is not None:
+            with contextlib.suppress(OSError):
+                os.unlink(tmp)

@@ -1,5 +1,6 @@
 import contextlib
 import copy
+import errno
 import functools
 import io
 import itertools
@@ -208,8 +209,9 @@ class TestModelCommand:
 
 
 class TestUnusableDestination:
-    """An -o target that cannot be written exits 3 after the input gates and
-    before any model build, round trip or serialization."""
+    """An -o target is judged as given.  One that cannot be written exits 3
+    after the input gates and before any model build, round trip or
+    serialization; one that fails later exits 3 naming the target too."""
 
     # each writing command, and the computation it must not reach
     WRITERS = {
@@ -223,6 +225,11 @@ class TestUnusableDestination:
         "parent-is-a-file": ("plain/out.json", "Not a directory"),
         "target-is-a-directory": ("dir", "not a regular file"),
         "fifo": ("fifo", "not a regular file"),
+        # judged as given: no normalization drops the separator or the ".."
+        "trailing-separator": ("nothere/", "No such file or directory"),
+        "dotdot-after-missing": ("missing/../x.json", "No such file or directory"),
+        "dotdot-after-file": ("plain/../x.json", "Not a directory"),
+        "empty": ("", "No such file or directory: ''"),
     }
 
     @staticmethod
@@ -266,10 +273,10 @@ class TestUnusableDestination:
         if fault == "fifo":
             os.mkfifo(tmp_path / "fifo")
         argv, computation = self.WRITERS[writer]
-        relative, words = self.FAULTS[fault]
-        target = tmp_path / relative
+        target, words = self.FAULTS[fault]
+        monkeypatch.chdir(tmp_path)
         self.refuse(monkeypatch, computation)
-        assert main([arg.format(**paths) for arg in argv] + ["-o", str(target)]) == 3
+        assert main([arg.format(**paths) for arg in argv] + ["-o", target]) == 3
         self.assert_refused(capsys, tmp_path, target, words)
         assert (tmp_path / "plain").read_text() == ""
         assert os.listdir(tmp_path / "dir") == []
@@ -311,6 +318,38 @@ class TestUnusableDestination:
         target = tmp_path / "missing" / "x"
         assert main([*argv, "-o", str(target)]) == 3
         self.assert_refused(capsys, tmp_path, target, "No such file or directory")
+
+    @pytest.mark.skipif(not hasattr(os, "symlink"), reason="needs symbolic links")
+    def test_written_where_the_path_resolves(self, capsys, tmp_path, monkeypatch):
+        # link/.. is real/, not the directory holding link
+        (tmp_path / "real" / "sub").mkdir(parents=True)
+        (tmp_path / "link").symlink_to(tmp_path / "real" / "sub")
+        monkeypatch.chdir(tmp_path)
+        dirs, real_mkstemp = [], tempfile.mkstemp
+
+        def mkstemp(**kwargs):
+            dirs.append(kwargs["dir"])
+            return real_mkstemp(**kwargs)
+
+        monkeypatch.setattr(serialize.tempfile, "mkstemp", mkstemp)
+        argv = ["model", "chebyshev", "--n", "2", "-o"]
+        assert main([*argv, "expected.json"]) == 0
+        assert main([*argv, "link/../out.json"]) == 0
+        capsys.readouterr()
+        assert dirs == [".", "link/.."]
+        assert (tmp_path / "real" / "out.json").read_bytes() == (tmp_path / "expected.json").read_bytes()
+        assert sorted(os.listdir(tmp_path)) == ["expected.json", "link", "real"]
+        assert sorted(os.listdir(tmp_path / "real")) == ["out.json", "sub"]
+
+    def test_failed_rename_names_the_target(self, capsys, tmp_path, monkeypatch):
+        def replace(src, dst):
+            raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), src, dst)
+
+        monkeypatch.setattr(serialize.os, "replace", replace)
+        target = tmp_path / "out.json"
+        assert main(["model", "chebyshev", "--n", "2", "-o", str(target)]) == 3
+        self.assert_refused(capsys, tmp_path, target, "Permission denied")
+        assert os.listdir(tmp_path) == []
 
 
 class TestVerifyCommand:

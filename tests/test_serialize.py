@@ -277,6 +277,10 @@ def _unusable_destinations(tmp_path):
         (tmp_path / "missing" / "deeper" / "out.json", "No such file or directory"),
         (tmp_path / "plain" / "out.json", "Not a directory"),
         (tmp_path / "dir", "not a regular file"),
+        (os.path.join(tmp_path, "nothere", ""), "No such file or directory"),
+        (os.path.join(tmp_path, "missing", "..", "x.json"), "No such file or directory"),
+        (os.path.join(tmp_path, "plain", "..", "x.json"), "Not a directory"),
+        ("", "No such file or directory: ''"),
     ]
     if hasattr(os, "mkfifo"):
         os.mkfifo(tmp_path / "fifo")
@@ -287,8 +291,12 @@ def _unusable_destinations(tmp_path):
 class TestCheckDestination:
     def test_usable_targets_pass(self, tmp_path):
         (tmp_path / "old.json").write_text("{}")
-        for target in (tmp_path / "new.json", tmp_path / "old.json", "relative.json"):
-            assert serialize.check_destination(target) is None
+        for target, directory in [
+            (tmp_path / "new.json", str(tmp_path)),
+            (tmp_path / "old.json", str(tmp_path)),
+            ("relative.json", os.curdir),
+        ]:
+            assert serialize.check_destination(target) == directory
         assert sorted(os.listdir(tmp_path)) == ["old.json"]
 
     def test_unusable_targets_raise_what_the_write_raises(self, tmp_path, monkeypatch):
