@@ -48,7 +48,7 @@ from .linalg import (
     symmetric_part_eigenvalues,
     symmetry_excess,
 )
-from .pseudoboson import MIN_EPS_GAP, BiorthogonalSystem, build_ladders, build_metrics, build_system, gap_deficit
+from .pseudoboson import MIN_EPS_GAP, BiorthogonalSystem, build_ladders, build_system, gap_deficit
 from .report import Check, VerificationReport, raise_first_failure
 
 __all__ = [
@@ -160,7 +160,7 @@ def hermitized_checks(h_matrix, theta, tolerance=None):
     checks.append(Check("hermitized_symmetry", asym, effective_tolerance(n, tolerance)))
     checks.append(Check("spectrum_min_gap", gap_deficit(lam), 0.0))
     shift = float(lam[0])
-    return checks, HermitizedSystem(sym - shift * np.eye(n), shift, lam - shift, eig.eigenvectors.T.copy())
+    return checks, HermitizedSystem(sym - shift * np.eye(n), shift, lam - shift, eig.eigenvectors.T)
 
 
 def hermitize(h_matrix, theta, tolerance=None) -> HermitizedSystem:
@@ -191,8 +191,7 @@ def from_crypto(h_matrix, theta, tolerance=None):
 def from_nlrpb(sys: BiorthogonalSystem) -> CryptoPair:
     """Operator H = b a with metric Theta = S_eta."""
     lad = build_ladders(sys)
-    met = build_metrics(sys)
-    pair = CryptoPair(lad.b @ lad.a, met.s_eta)
+    pair = CryptoPair(lad.b @ lad.a, sys.eta.T @ sys.eta)  # S_eta, as build_metrics forms it
     rep = verify_chwrt(pair.h_matrix, pair.theta)
     if not rep.passed:
         raise ValidationError("from_nlrpb: constructed pair failed cryptohermiticity; system data inconsistent")

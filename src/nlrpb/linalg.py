@@ -4,25 +4,25 @@ All routines operate on plain ``numpy`` float64 arrays: matrices are
 2-d, vectors 1-d, and every entry point rejects NaN/Inf input.  The
 symmetric eigensolver is LAPACK, called through ``numpy.linalg.eigh``
 behind the ``SymEig`` contract (symmetry check, ascending eigenvalues,
-sign-fixed eigenvectors), with one code path for every size.  At a
-fixed BLAS thread count its output is bitwise deterministic from run to
-run, which the golden tests rely on and the test suite checks.  It
-keeps the name ``jacobi_eigh`` from the cyclic Jacobi solver it
-replaced, because the benchmark traces the eigensolver under that name;
-renaming it means updating the benchmark in the same change.
+sign-fixed eigenvectors), with one code path for every size and output
+that is bitwise deterministic at a fixed BLAS thread count.  It keeps the
+name ``jacobi_eigh`` of the Jacobi solver it replaced, because the
+benchmark traces the eigensolver by that name.  The SPD roots ``spd_sqrt``
+and ``spd_inv_sqrt`` share its input rule, its errors and its one LAPACK
+call, but skip the sign fix: V f(lambda) V^T comes out bit for bit the
+same for either sign of each column of V, since the signs cancel.
 
 Checks that read only eigenvalues (``pseudoboson.verify_axioms``'
 ``p5_frame_bounds`` and the ``model`` report's S_eta scalars) call
-``symmetric_eigenvalues`` instead, which runs ``numpy.linalg.eigvalsh``
-and skips the eigenvectors.  Both entries share one input rule (2-d,
-finite, square, symmetric) and raise the same errors.  The symmetry rule,
-||a - a^T||_F within 1e-12 max(||a||_F, 1), is ``symmetry_excess``: the
-eigensolvers raise on it and ``cryptoherm.verify_chwrt`` reports it in
-``metric_spd``.  So ``verify_chwrt`` calls ``symmetric_part_eigenvalues``,
-which solves the exactly symmetric (Theta + Theta^T) / 2 without the rule.
-Every symmetrization is ``symmetric_part``, which halves before it adds,
-so that entries near the float64 range do not overflow to inf and make
-the eigenvalues NaN."""
+``symmetric_eigenvalues``, which runs ``numpy.linalg.eigvalsh`` with the
+same input rule (2-d, finite, square, symmetric) and errors.  The
+symmetry rule, ||a - a^T||_F within 1e-12 max(||a||_F, 1), is
+``symmetry_excess``: the eigensolvers raise on it and
+``cryptoherm.verify_chwrt`` reports it in ``metric_spd``, so it calls
+``symmetric_part_eigenvalues``, which solves (Theta + Theta^T) / 2
+without the rule.  Every symmetrization is ``symmetric_part``, which
+halves before it adds, so that entries near the float64 range do not
+overflow to inf and make the eigenvalues NaN."""
 
 from __future__ import annotations
 
@@ -181,8 +181,7 @@ def _fix_signs(vecs: np.ndarray) -> None:
     # Flip each column whose first component above the cutoff is negative.
     # Every column of an orthonormal matrix has such a component.
     first = np.argmax(np.abs(vecs) > _SIGN_CUTOFF, axis=0)
-    lead = vecs[first, np.arange(vecs.shape[1])]
-    vecs[:, lead < 0.0] *= -1.0
+    vecs *= np.copysign(1.0, vecs[first, np.arange(vecs.shape[1])])
 
 
 def symmetric_part(a: np.ndarray) -> np.ndarray:
@@ -214,13 +213,18 @@ def jacobi_eigh(a) -> SymEig:
     The name is kept from the Jacobi iteration this replaced, because
     the benchmark traces the eigensolver by that name.
     """
-    sym = _symmetrized(a, "jacobi_eigh")
-    try:
-        lam, vecs = np.linalg.eigh(sym)  # LAPACK returns eigenvalues ascending
-    except np.linalg.LinAlgError as exc:
-        raise ConvergenceError(f"jacobi_eigh: {exc}") from exc
+    lam, vecs = _eigh(a)
     _fix_signs(vecs)
     return SymEig(lam, vecs)
+
+
+def _eigh(a) -> tuple:
+    """(lambda, V) of ``symmetric_part(a)`` after ``jacobi_eigh``'s input rule; V signed as LAPACK leaves it."""
+    sym = _symmetrized(a, "jacobi_eigh")
+    try:
+        return np.linalg.eigh(sym)  # looked up per call, so a wrapper on numpy.linalg sees the solve
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceError(f"jacobi_eigh: {exc}") from exc
 
 
 def symmetric_eigenvalues(a) -> np.ndarray:
@@ -257,15 +261,14 @@ def spd_deficit(eigenvalues) -> float:
 
 
 def _spd_root(a, name: str, scale) -> np.ndarray:
-    """V scale(V, sqrt(lambda)) V^T, symmetrized, after the SPD gate on lambda."""
-    eig = jacobi_eigh(a)
-    lam = eig.eigenvalues
+    """V scale(V, sqrt(lambda)) V^T, symmetrized, after the SPD gate on lambda.
+    V is not sign-fixed: a flipped column flips both factors of its products."""
+    lam, v = _eigh(a)
     if spd_deficit(lam) > 0.0:
         raise ValidationError(
             f"{name}: matrix is not positive definite "
             f"(smallest eigenvalue {float(lam[0]):.6e}, largest {float(lam[-1]):.6e})"
         )
-    v = eig.eigenvectors
     return symmetric_part(scale(v, np.sqrt(lam)) @ v.T)
 
 

@@ -195,6 +195,14 @@ class TestFromNlrpb:
         pair = from_nlrpb(sys)
         assert residual_norm(pair.h_matrix, np.array([[1.5, -3.0], [-1.5, 3.0]])) < 1e-12
 
+    def test_judges_s_eta_only(self):
+        # S_phi = diag(1e320, 1) would overflow, but the pair never reads it;
+        # its metric S_eta = diag(1e-320, 1) fails the SPD gate.
+        sys = build_system(np.diag([1e160, 1.0]), np.diag([1e-160, 1.0]), [0.0, 1.0])
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            with pytest.raises(ValidationError, match="constructed pair failed cryptohermiticity"):
+                from_nlrpb(sys)
+
 
 class TestRoundtrip:
     @pytest.mark.parametrize("n", [2, 3, 5, 9])

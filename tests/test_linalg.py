@@ -41,6 +41,29 @@ def random_spd(n, seed):
     return r.T @ r + n * np.eye(n)
 
 
+def permuted_block_diagonal(seed):
+    """Random symmetric blocks on the diagonal, rows and columns permuted:
+    each eigenvector is zero outside its block, so its leading entry above
+    the sign cutoff may lie below row 0."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 9))
+    a = np.zeros((n, n))
+    start = 0
+    while start < n:
+        stop = int(rng.integers(start + 1, n + 1))
+        a[start:stop, start:stop] = random_symmetric(stop - start, seed=[seed, start])
+        start = stop
+    perm = rng.permutation(n)
+    return a[np.ix_(perm, perm)]
+
+
+def gauged_chebyshev_s_eta(n, seed):
+    """A dense SPD metric: S_eta of the Chebyshev system in a seeded gauge."""
+    _, system = chebyshev_model(n)
+    nu = np.exp(np.random.default_rng(seed).uniform(np.log(0.5), np.log(2.0), n))
+    return build_metrics(rescale(system, nu)).s_eta
+
+
 class TestDefaultTolerance:
     def test_flat_region(self):
         assert default_tolerance(2) == 1e-10
@@ -174,10 +197,7 @@ class TestJacobiEigh:
         assert np.all(np.diff(lam) >= 0.0)
 
     def test_deterministic(self):
-        # A dense SPD metric: the gauged Chebyshev S_eta at N=64.
-        _, system = chebyshev_model(64)
-        nu = np.exp(np.random.default_rng(7).uniform(np.log(0.5), np.log(2.0), 64))
-        s_eta = build_metrics(rescale(system, nu)).s_eta
+        s_eta = gauged_chebyshev_s_eta(64, seed=7)
         assert np.count_nonzero(np.abs(s_eta) > 1e-12) > 64 * 64 // 2
         first = jacobi_eigh(s_eta)
         values = symmetric_eigenvalues(s_eta)
@@ -189,11 +209,23 @@ class TestJacobiEigh:
             assert np.array_equal(symmetric_eigenvalues(s_eta.copy()), values)
 
     def test_sign_convention(self):
-        a = random_symmetric(6, seed=11)
-        vecs = jacobi_eigh(a).eigenvectors
-        for j in range(6):
-            lead = vecs[np.abs(vecs[:, j]) > 1e-12, j][0]
-            assert lead > 0.0
+        # LAPACK's vectors, each column flipped when its first entry above
+        # 1e-12 is negative and only then, every other bit kept.  Permuted
+        # block-diagonal inputs put exact zeros above that entry.
+        flipped_below_row_0 = 0
+        inputs = [random_symmetric(6, seed=11)] + [permuted_block_diagonal(seed) for seed in range(400)]
+        for i, a in enumerate(inputs):
+            vecs = jacobi_eigh(a).eigenvectors
+            for j in range(a.shape[0]):
+                lead = vecs[np.abs(vecs[:, j]) > 1e-12, j][0]
+                assert lead > 0.0
+            raw = np.linalg.eigh(symmetric_part(a))[1]
+            lead_row = np.argmax(np.abs(raw) > 1e-12, axis=0)
+            negative = raw[lead_row, np.arange(raw.shape[1])] < 0.0
+            raw[:, negative] *= -1.0
+            assert vecs.tobytes() == raw.tobytes(), i
+            flipped_below_row_0 += bool(np.any(negative & (lead_row > 0)))
+        assert flipped_below_row_0 >= 100
 
     def test_rejects_asymmetric(self):
         with pytest.raises(ValidationError):
@@ -390,3 +422,23 @@ class TestSpdSqrt:
     def test_rejects_asymmetric(self):
         with pytest.raises(ValidationError):
             spd_sqrt([[1.0, 1.0], [0.0, 1.0]])
+
+    @pytest.mark.parametrize(
+        "a",
+        [[[2.0]], gauged_chebyshev_s_eta(32, seed=5), np.diag([1e308, 5e307])],
+        ids=["n1", "gauged-chebyshev-32", "near-overflow"],
+    )
+    @pytest.mark.parametrize("root", [spd_sqrt, spd_inv_sqrt])
+    def test_independent_of_eigenvector_signs(self, monkeypatch, a, root):
+        eigh = np.linalg.eigh
+
+        def flipping_eigh(m):
+            lam, vecs = eigh(m)
+            return lam, vecs * flip
+
+        with np.errstate(over="raise", invalid="raise", divide="raise"):  # the CLI's setting
+            expected = root(a)
+            monkeypatch.setattr(np.linalg, "eigh", flipping_eigh)
+            for seed in range(8):
+                flip = np.where(np.random.default_rng(seed).random(len(a)) < 0.5, -1.0, 1.0)
+                assert root(a).tobytes() == expected.tobytes(), seed
