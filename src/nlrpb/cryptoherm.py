@@ -34,6 +34,7 @@ import numpy as np
 from .errors import ValidationError
 from .linalg import (
     _TINY,
+    SPD_GATE,
     as_matrix,
     as_square_pair,
     effective_tolerance,
@@ -46,7 +47,6 @@ from .linalg import (
     spd_sqrt,
     symmetric_part,
     symmetric_part_eigenvalues,
-    symmetry_excess,
 )
 from .pseudoboson import MIN_EPS_GAP, BiorthogonalSystem, build_ladders, build_system, gap_deficit
 from .report import Check, VerificationReport, raise_first_failure
@@ -71,6 +71,11 @@ _HERMITIZE_FAILURES = {
     "metric_spd": "pair is not cryptohermitian",
     "hermitized_symmetry": "transform asymmetric; the metric does not hermitize the operator",
     "spectrum_min_gap": f"degenerate spectrum, an eigenvalue gap below {MIN_EPS_GAP:g}",
+}
+
+_FROM_NLRPB_FAILURES = {
+    "cryptohermiticity": "constructed pair failed cryptohermiticity; system data inconsistent",
+    "metric_spd": f"S_eta is not positive definite within the SPD gate ({SPD_GATE:g})",
 }
 
 
@@ -121,8 +126,8 @@ def verify_chwrt(h_matrix, theta, tolerance=None) -> VerificationReport:
     h, t = pair.h_matrix, pair.theta
     tol = effective_tolerance(h.shape[0], tolerance)
 
-    lam = symmetric_part_eigenvalues(t)
-    metric_residual = max(0.0, symmetry_excess(t), spd_deficit(lam))
+    lam, asymmetry = symmetric_part_eigenvalues(t)
+    metric_residual = max(0.0, asymmetry, spd_deficit(lam))
 
     th = t @ h
     # float64 division, so an overflow raises under the CLI's errstate
@@ -189,12 +194,11 @@ def from_crypto(h_matrix, theta, tolerance=None):
 
 
 def from_nlrpb(sys: BiorthogonalSystem) -> CryptoPair:
-    """Operator H = b a with metric Theta = S_eta."""
+    """Operator H = b a with metric Theta = S_eta; raises on the first
+    ``verify_chwrt`` check that the pair fails."""
     lad = build_ladders(sys)
     pair = CryptoPair(lad.b @ lad.a, sys.eta.T @ sys.eta)  # S_eta, as build_metrics forms it
-    rep = verify_chwrt(pair.h_matrix, pair.theta)
-    if not rep.passed:
-        raise ValidationError("from_nlrpb: constructed pair failed cryptohermiticity; system data inconsistent")
+    raise_first_failure("from_nlrpb", verify_chwrt(pair.h_matrix, pair.theta).checks, _FROM_NLRPB_FAILURES)
     return pair
 
 

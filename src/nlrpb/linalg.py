@@ -16,13 +16,13 @@ Checks that read only eigenvalues (``pseudoboson.verify_axioms``'
 ``p5_frame_bounds`` and the ``model`` report's S_eta scalars) call
 ``symmetric_eigenvalues``, which runs ``numpy.linalg.eigvalsh`` with the
 same input rule (2-d, finite, square, symmetric) and errors.  The
-symmetry rule, ||a - a^T||_F within 1e-12 max(||a||_F, 1), is
-``symmetry_excess``: the eigensolvers raise on it and
-``cryptoherm.verify_chwrt`` reports it in ``metric_spd``, so it calls
-``symmetric_part_eigenvalues``, which solves (Theta + Theta^T) / 2
-without the rule.  Every symmetrization is ``symmetric_part``, which
-halves before it adds, so that entries near the float64 range do not
-overflow to inf and make the eigenvalues NaN."""
+symmetry rule first compares the bits of a and a^T and solves an exactly
+symmetric matrix as it is; any other must pass ``symmetry_excess``,
+||a - a^T||_F within 1e-12 max(||a||_F, 1), and is solved as
+``symmetric_part(a)``, which halves before it adds so that entries near
+the float64 range do not overflow (it changes an exactly symmetric
+matrix only where halving rounds, below 2^-1021).  The eigensolvers raise
+on the excess; ``cryptoherm.verify_chwrt`` reports it in ``metric_spd``."""
 
 from __future__ import annotations
 
@@ -192,22 +192,32 @@ def symmetric_part(a: np.ndarray) -> np.ndarray:
     return half + half.T
 
 
+def _symmetric_split(a: np.ndarray) -> tuple:
+    """(``a``, 0.0) when ``a`` is exactly symmetric, bit for bit (``symmetric_part``
+    makes 0.0 of -0.0), else (``symmetric_part(a)``, ``symmetry_excess(a)``)."""
+    bits = a.view(np.int64)
+    if (bits == bits.T).all():
+        return a, 0.0
+    return symmetric_part(a), symmetry_excess(a)
+
+
 def _symmetrized(a, name: str) -> np.ndarray:
-    """``symmetric_part(a)`` after the eigensolvers' one input rule: ``a`` is
-    a finite square float64 matrix that passes ``symmetry_excess``."""
-    a = _checked(np.asarray(a, dtype=float), name, 2)  # no copy: the solve runs on a new array
+    """The S of ``_symmetric_split(a)`` after the eigensolvers' one input rule:
+    ``a`` is a finite square float64 matrix that passes ``symmetry_excess``."""
+    a = _checked(np.asarray(a, dtype=float), name, 2)  # no copy: the solve does not write to it
     if a.shape[0] != a.shape[1]:
         raise ValidationError(f"{name}: matrix must be square, got {a.shape}")
-    if symmetry_excess(a) > 0.0:
+    sym, excess = _symmetric_split(a)
+    if excess > 0.0:
         raise ValidationError(f"{name}: matrix is not symmetric within tolerance")
-    return symmetric_part(a)
+    return sym
 
 
 def jacobi_eigh(a) -> SymEig:
     """Eigendecomposition of a real symmetric matrix by LAPACK (``numpy.linalg.eigh``).
 
     The input must pass ``symmetry_excess``; it is exactly symmetrized
-    before the solve.  The result is
+    before the solve unless it is exactly symmetric.  The result is
     bitwise deterministic at a fixed BLAS thread count.  Raises
     ConvergenceError if LAPACK reports that the solve did not converge.
     The name is kept from the Jacobi iteration this replaced, because
@@ -234,11 +244,12 @@ def symmetric_eigenvalues(a) -> np.ndarray:
     return _eigvalsh(_symmetrized(a, "symmetric_eigenvalues"))
 
 
-def symmetric_part_eigenvalues(a: np.ndarray) -> np.ndarray:
-    """``symmetric_eigenvalues`` of ``symmetric_part(a)`` for a finite square
-    float64 matrix ``a`` that need not pass the symmetry rule.  That part
-    is exactly symmetric, and finite, so it is solved as it is."""
-    return _eigvalsh(symmetric_part(a))
+def symmetric_part_eigenvalues(a: np.ndarray) -> tuple:
+    """(eigenvalues, excess) of ``_symmetric_split(a)`` for a finite square
+    float64 ``a`` that need not pass the symmetry rule: the excess is
+    returned, not raised, and the solve is ``symmetric_eigenvalues``'."""
+    sym, excess = _symmetric_split(a)
+    return _eigvalsh(sym), excess
 
 
 def _eigvalsh(sym: np.ndarray) -> np.ndarray:

@@ -33,16 +33,22 @@ a system: its ``eps_structure`` gate decides whether the axiom,
 commutator and eigen checks run or only ``biorthonormality_check``.
 ``build_system`` raises on the first two, and reports call the same
 functions, so a builder and a report cannot disagree on a verdict.
+
+The residuals take as few passes as give the bits of one relation at a
+time: row norms once per system, one norm pass for the four p3 ladder
+relations (rows of the full products phi a^T, phi b^T, eta a, eta b),
+and S_phi, S_eta formed and tested once each in ``verify_axioms``.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ValidationError
-from .linalg import _TINY, as_square_pair, as_vector, effective_tolerance, freeze, frobenius_norm, residual_norm, spd_deficit, symmetric_eigenvalues
+from .linalg import _TINY, _checked, as_square_pair, as_vector, effective_tolerance, freeze, frobenius_norm, residual_norm, spd_deficit, symmetric_part_eigenvalues
 from .report import Check, VerificationReport, raise_first_failure
 
 __all__ = [
@@ -99,6 +105,11 @@ class BiorthogonalSystem:
             raise ValidationError(f"system: eps has {eps.shape[0]} entries, bases {phi.shape}")
         freeze(self, eps=eps, phi=phi, eta=eta, n=eps.shape[0])
 
+    @functools.cached_property
+    def _row_norms(self) -> tuple:
+        """(||phi_n||, ||eta_n||) floored at 1e-300, the relative residuals' divisors."""
+        return tuple(np.maximum(frobenius_norm(rows, axis=1), _TINY) for rows in (self.phi, self.eta))
+
 
 @dataclass(frozen=True)
 class LadderPair:
@@ -129,7 +140,7 @@ def gap_deficit(values) -> float:
     MIN_EPS_GAP; 0.0 when every gap is admissible (or there is one value)."""
     if len(values) < 2:
         return 0.0
-    return max(0.0, MIN_EPS_GAP - float(np.diff(values).min()))
+    return max(0.0, MIN_EPS_GAP - float((values[1:] - values[:-1]).min()))
 
 
 def eps_structure_check(sys: BiorthogonalSystem) -> Check:
@@ -171,10 +182,6 @@ def build_metrics(sys: BiorthogonalSystem) -> MetricPair:
     return MetricPair(sys.phi.T @ sys.phi, sys.eta.T @ sys.eta)
 
 
-def _row_norms(mat: np.ndarray) -> np.ndarray:
-    return np.maximum(frobenius_norm(mat, axis=1), _TINY)
-
-
 def verify_axioms(sys: BiorthogonalSystem, ladders: LadderPair, tolerance=None) -> VerificationReport:
     """Residual report for the five axioms (see module docstring).
 
@@ -188,42 +195,38 @@ def verify_axioms(sys: BiorthogonalSystem, ladders: LadderPair, tolerance=None) 
     tol = effective_tolerance(n, tolerance)
     phi, eta, eps = sys.phi, sys.eta, sys.eps
     a, b = ladders.a, ladders.b
-    nphi = _row_norms(phi)
-    neta = _row_norms(eta)
+    nphi, neta = sys._row_norms
     root = np.sqrt(np.clip(eps, 0.0, None))
 
     p1 = float(frobenius_norm(a @ phi[0]) / nphi[0])
     p2 = float(frobenius_norm(b.T @ eta[0]) / neta[0])
 
-    ladder_residuals = [0.0]
+    ladder = 0.0
     if n > 1:
-        aphi = phi @ a.T  # row n is a phi_n
-        bphi = phi @ b.T
-        ateta = eta @ a  # row n is a^T eta_n
-        bteta = eta @ b
-        # a lowers phi_n for n >= 1, b raises phi_n for n <= N-2;
-        # the transposes act dually on eta.
-        ladder_residuals.extend(
-            [
-                float((frobenius_norm(aphi[1:] - root[1:, None] * phi[:-1], axis=1) / nphi[1:]).max()),
-                float((frobenius_norm(bphi[:-1] - root[1:, None] * phi[1:], axis=1) / nphi[:-1]).max()),
-                float((frobenius_norm(ateta[:-1] - root[1:, None] * eta[1:], axis=1) / neta[:-1]).max()),
-                float((frobenius_norm(bteta[1:] - root[1:, None] * eta[:-1], axis=1) / neta[1:]).max()),
-            ]
-        )
+        # Row n of phi a^T is a phi_n, of eta a is a^T eta_n: a lowers phi_n for
+        # n >= 1, b raises it for n <= N-2, the transposes act dually on eta.
+        # Full products are sliced: products of slices round differently.
+        lhs = np.concatenate(((phi @ a.T)[1:], (phi @ b.T)[:-1], (eta @ a)[:-1], (eta @ b)[1:]))
+        rhs = np.concatenate((phi[:-1], phi[1:], eta[1:], eta[:-1]))
+        r = np.concatenate((root[1:],) * 4)[:, None]
+        norms = np.concatenate((nphi[1:], nphi[:-1], neta[:-1], neta[1:]))
+        ladder = float((frobenius_norm(lhs - r * rhs, axis=1) / norms).max())
 
-    metrics = build_metrics(sys)
-    deficits = [spd_deficit(symmetric_eigenvalues(m)) for m in (metrics.s_phi, metrics.s_eta)]
+    # build_metrics' frame operators, tested as MetricPair tests them.  As
+    # numpy forms x^T x it is exactly symmetric: the rule has nothing to raise.
+    s_phi = _checked(phi.T @ phi, "s_phi", 2)
+    s_eta = _checked(eta.T @ eta, "s_eta", 2)
+    deficit = max(spd_deficit(symmetric_part_eigenvalues(s)[0]) for s in (s_phi, s_eta))
     eye = np.eye(n)
 
     checks = (
         Check("p1_vacuum_phi", p1, tol),
         Check("p2_vacuum_eta", p2, tol),
         biorthonormality_check(sys, tol),
-        Check("p3_ladder_relations", max(ladder_residuals), tol),
+        Check("p3_ladder_relations", ladder, tol),
         Check("p4_resolution_of_identity", float(frobenius_norm(phi.T @ eta - eye)), tol),
-        Check("p5_frame_bounds", max(deficits), 0.0),
-        Check("p5_metric_duality", float(frobenius_norm(metrics.s_phi @ metrics.s_eta - eye)), tol),
+        Check("p5_frame_bounds", deficit, 0.0),
+        Check("p5_metric_duality", float(frobenius_norm(s_phi @ s_eta - eye)), tol),
     )
     return VerificationReport(checks)
 
@@ -289,8 +292,9 @@ def eigen_check(sys: BiorthogonalSystem, m, tolerance=None) -> Check:
     """``eigen_relations``: m phi_n = eps[n] phi_n and m^T eta_n = eps[n] eta_n,
     relative to the norms of the vectors."""
     eps = sys.eps[:, None]
-    left = frobenius_norm(sys.phi @ m.T - eps * sys.phi, axis=1) / _row_norms(sys.phi)
-    right = frobenius_norm(sys.eta @ m - eps * sys.eta, axis=1) / _row_norms(sys.eta)
+    nphi, neta = sys._row_norms
+    left = frobenius_norm(sys.phi @ m.T - eps * sys.phi, axis=1) / nphi
+    right = frobenius_norm(sys.eta @ m - eps * sys.eta, axis=1) / neta
     worst = max(float(left.max()), float(right.max()))
     return Check("eigen_relations", worst, effective_tolerance(sys.n, tolerance))
 

@@ -800,6 +800,18 @@ class TestFloat64Overflow:
         assert main(["convert", "nlrpb2crypto", str(system)]) == 0
         assert capsys.readouterr().err == ""
 
+    def test_ill_conditioned_metric_is_named(self, capsys, tmp_path):
+        # A valid system whose S_eta = diag(1e-300, 1) is past the SPD gate;
+        # the pair's cryptohermiticity residual is 0.
+        system = tmp_path / "system.json"
+        sys = build_system(np.diag([1e150, 1.0]), np.diag([1e-150, 1.0]), [0.0, 1.0])
+        serialize.write_document(system, serialize.system_to_dict(sys))
+        assert main(["convert", "nlrpb2crypto", str(system)]) == 2
+        assert capsys.readouterr().err == (
+            "error: from_nlrpb: S_eta is not positive definite within the SPD gate (1e-12) "
+            "(metric_spd residual 1.000e-12 > 0)\n"
+        )
+
     @pytest.mark.parametrize("sign, rc", [(1.0, 0), (-1.0, 1)])
     def test_metric_near_the_float64_range(self, capsys, tmp_path, sign, rc):
         # Theta + Theta^T overflows; the verdict comes from Theta's symmetric part.

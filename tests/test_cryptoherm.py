@@ -89,15 +89,17 @@ class TestVerifyChwrt:
             verify_chwrt(np.eye(2), np.eye(3))
 
     def test_one_eigenvalue_solve_of_the_symmetric_part(self, monkeypatch):
-        theta = np.array([[2.0, 0.5, 0.1], [0.3, 1.0, 0.0], [0.1, 0.0, 3.0]])  # asymmetric
-        solved = []
+        asymmetric = np.array([[2.0, 0.5, 0.1], [0.3, 1.0, 0.0], [0.1, 0.0, 3.0]])
+        within_tolerance = np.array([[2.0, 0.3 + 1e-14, 0.1], [0.3, 1.0, 0.0], [0.1, 0.0, 3.0]])
         eigvalsh = np.linalg.eigvalsh
-        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: solved.append(a.copy()) or eigvalsh(a))
-        rep = verify_chwrt(np.eye(3), theta)
-        assert len(solved) == 1
-        assert np.array_equal(solved[0], (theta + theta.T) / 2.0)
-        assert rep["metric_spd"].residual == max(0.0, symmetry_excess(theta), spd_deficit(eigvalsh(solved[0])))
-        assert not rep["metric_spd"].passed
+        for theta, passes in ((asymmetric, False), (within_tolerance, True)):
+            solved = []
+            monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: solved.append(a.copy()) or eigvalsh(a))
+            rep = verify_chwrt(np.eye(3), theta)
+            assert len(solved) == 1
+            assert np.array_equal(solved[0], (theta + theta.T) / 2.0)
+            assert rep["metric_spd"].residual == max(0.0, symmetry_excess(theta), spd_deficit(eigvalsh(solved[0])))
+            assert rep["metric_spd"].passed is passes
 
 
 class TestHermitize:
@@ -200,8 +202,11 @@ class TestFromNlrpb:
         # its metric S_eta = diag(1e-320, 1) fails the SPD gate.
         sys = build_system(np.diag([1e160, 1.0]), np.diag([1e-160, 1.0]), [0.0, 1.0])
         with np.errstate(over="raise", invalid="raise", divide="raise"):
-            with pytest.raises(ValidationError, match="constructed pair failed cryptohermiticity"):
+            with pytest.raises(ValidationError) as err:
                 from_nlrpb(sys)
+        assert str(err.value) == (
+            "from_nlrpb: S_eta is not positive definite within the SPD gate (1e-12) (metric_spd residual 1.000e-12 > 0)"
+        )
 
 
 class TestRoundtrip:

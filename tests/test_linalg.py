@@ -6,12 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from nlrpb import serialize
+from nlrpb import linalg, serialize
 from nlrpb.cli import main
 from nlrpb.cryptoherm import from_nlrpb, verify_chwrt
 from nlrpb.errors import ConvergenceError, ValidationError
 from nlrpb.linalg import (
     SPD_GATE,
+    SymEig,
     as_matrix,
     as_vector,
     default_tolerance,
@@ -346,6 +347,106 @@ class TestSymmetricEigenvalues:
         symmetric_eigenvalues(a)
         jacobi_eigh(a)
         assert np.array_equal(a, before)
+
+
+SOLVERS = (jacobi_eigh, spd_sqrt, spd_inv_sqrt, symmetric_eigenvalues)
+
+
+def solver_bytes(a):
+    """What each of SOLVERS gives on ``a``: the bytes of its arrays, or its error text."""
+    out = []
+    for solve in SOLVERS:
+        try:
+            result = solve(a)
+        except ValidationError as exc:
+            out.append(str(exc))
+            continue
+        arrays = (result.eigenvalues, result.eigenvectors) if isinstance(result, SymEig) else (result,)
+        out.append(b"".join(x.tobytes() for x in arrays))
+    return out
+
+
+def full_rule(a, name):
+    """The input rule without its exact-symmetry test: every input is
+    measured against the tolerance and solved as its symmetric part."""
+    a = np.asarray(a, dtype=float)
+    if symmetry_excess(a) > 0.0:
+        raise ValidationError(f"{name}: matrix is not symmetric within tolerance")
+    return symmetric_part(a)
+
+
+class TestExactSymmetry:
+    @pytest.mark.parametrize(
+        "a",
+        [
+            [[2.0]],
+            np.zeros((3, 3)),
+            gauged_chebyshev_s_eta(5, seed=5),
+            gauged_chebyshev_s_eta(32, seed=5),
+            np.diag([1e308, 5e307]),
+        ],
+        ids=["n1", "zeros", "gauged-chebyshev-5", "gauged-chebyshev-32", "near-overflow"],
+    )
+    def test_same_bytes_as_the_full_rule(self, monkeypatch, a):
+        a = np.array(a)
+        assert np.array_equal(a.view(np.int64), a.T.view(np.int64))
+        with np.errstate(over="raise", invalid="raise", divide="raise"):  # the CLI's setting
+            fast = solver_bytes(a)
+            monkeypatch.setattr(linalg, "_symmetrized", full_rule)
+            assert solver_bytes(a) == fast
+
+    def test_entries_below_the_halving_limit_are_kept(self, monkeypatch):
+        # Halving rounds below 2^-1021 (5e-324 halves to 0), so the full rule
+        # solves a rounded diag(3e-310, 1e-310); the exact path solves the
+        # input as given, off-diagonal entries included.
+        a = np.array([[3e-310, 5e-324], [5e-324, 1e-310]])
+        rounded = symmetric_part(a)
+        assert rounded[0, 1] == 0.0 and rounded[0, 0] != a[0, 0]
+        fast = [solve(a) for solve in SOLVERS]
+        monkeypatch.setattr(linalg, "_symmetrized", full_rule)
+        full = [solve(a) for solve in SOLVERS]
+        for out, solved in ((fast, a), (full, rounded)):
+            lam, vecs = np.linalg.eigh(solved)
+            vecs *= np.copysign(1.0, vecs[np.argmax(np.abs(vecs) > 1e-12, axis=0), [0, 1]])
+            assert out[0].eigenvalues.tobytes() == lam.tobytes()
+            assert out[0].eigenvectors.tobytes() == vecs.tobytes()
+            assert out[3].tobytes() == np.linalg.eigvalsh(solved).tobytes()
+        assert fast[0].eigenvalues == pytest.approx(full[0].eigenvalues, rel=1e-9)
+        assert fast[0].eigenvectors[0, 0] == pytest.approx(-5e-324 / 2e-310, rel=1e-9)
+        assert np.array_equal(full[0].eigenvectors, [[0.0, 1.0], [1.0, 0.0]])
+        for fast_root, full_root in zip(fast[1:3], full[1:3]):
+            assert fast_root[0, 1] == fast_root[1, 0] != 0.0
+            assert full_root[0, 1] == full_root[1, 0] == 0.0
+
+    @pytest.mark.parametrize(
+        "a",
+        [
+            random_spd(4, seed=6) + np.triu(np.full((4, 4), 1e-14), 1),
+            np.array([[2.0, 0.0], [-0.0, 1.0]]),
+        ],
+        ids=["skew-1e-14", "signed-zero"],
+    )
+    def test_asymmetric_within_tolerance_is_symmetrized(self, monkeypatch, a):
+        # 0.0 == -0.0, but symmetric_part makes the pair +0.0, and LAPACK's
+        # vectors can carry the sign of a zero input: exactness compares bits.
+        assert symmetry_excess(a) <= 0.0 and not np.array_equal(a.view(np.int64), a.T.view(np.int64))
+        solved = []
+
+        def recording(solve):
+            return lambda m: solved.append(m.copy()) or solve(m)
+
+        for name in ("eigh", "eigvalsh"):
+            monkeypatch.setattr(np.linalg, name, recording(getattr(np.linalg, name)))
+        solver_bytes(a)
+        assert len(solved) == len(SOLVERS)
+        assert all(m.tobytes() == symmetric_part(a).tobytes() for m in solved)
+
+    def test_asymmetric_beyond_tolerance_raises(self):
+        a = random_spd(4, seed=6) + np.triu(np.full((4, 4), 1e-9), 1)
+        texts = solver_bytes(a)
+        assert texts == ["jacobi_eigh: matrix is not symmetric within tolerance"] * 3 + [
+            "symmetric_eigenvalues: matrix is not symmetric within tolerance"
+        ]
 
 
 # Entries whose halves are not subnormal and whose pairwise sums stay finite.

@@ -331,3 +331,73 @@ class TestRescale:
         _, sys = chebyshev_model(2)
         with pytest.raises(ValidationError):
             rescale(sys, [1.0, 1.0, 1.0])
+
+
+def _reference_residuals(sys, ladders, m):
+    """Every ``system_checks`` residual by its own expression, one relation
+    at a time, as the checks were written before they shared their passes."""
+    n, phi, eta, eps = sys.n, sys.phi, sys.eta, sys.eps
+    a, b = ladders.a, ladders.b
+    eye = np.eye(n)
+    nphi = np.maximum(np.linalg.norm(phi, axis=1), 1e-300)
+    neta = np.maximum(np.linalg.norm(eta, axis=1), 1e-300)
+    root = np.sqrt(np.clip(eps, 0.0, None))
+    ladder = [0.0]
+    if n > 1:
+        aphi, bphi, ateta, bteta = phi @ a.T, phi @ b.T, eta @ a, eta @ b
+        ladder += [
+            float((np.linalg.norm(aphi[1:] - root[1:, None] * phi[:-1], axis=1) / nphi[1:]).max()),
+            float((np.linalg.norm(bphi[:-1] - root[1:, None] * phi[1:], axis=1) / nphi[:-1]).max()),
+            float((np.linalg.norm(ateta[:-1] - root[1:, None] * eta[1:], axis=1) / neta[:-1]).max()),
+            float((np.linalg.norm(bteta[1:] - root[1:, None] * eta[:-1], axis=1) / neta[1:]).max()),
+        ]
+    s_phi, s_eta = phi.T @ phi, eta.T @ eta
+    deficits = []
+    for s in (s_phi, s_eta):
+        lam = np.linalg.eigvalsh((s + s.T) / 2.0)
+        deficits.append(max(0.0, 1e-12 * lam[-1] - lam[0]) if lam[-1] > 0.0 else 1.0 - lam[-1])
+    comm = a @ b - b @ a
+    levels = np.arange(n - 1)
+    comm_res = phi[levels] @ comm.T - (eps[levels + 1] - eps[levels])[:, None] * phi[levels]
+    commutator = (np.linalg.norm(comm_res, axis=1) / np.maximum(np.linalg.norm(phi[levels], axis=1), 1e-300)).max(initial=0.0)
+    left = np.linalg.norm(phi @ m.T - eps[:, None] * phi, axis=1) / nphi
+    right = np.linalg.norm(eta @ m - eps[:, None] * eta, axis=1) / neta
+    return {
+        "eps_structure": max(0.0, abs(float(eps[0])) - 1e-12, max(0.0, MIN_EPS_GAP - float(np.diff(eps).min()))),
+        "p1_vacuum_phi": float(np.linalg.norm(a @ phi[0]) / nphi[0]),
+        "p2_vacuum_eta": float(np.linalg.norm(b.T @ eta[0]) / neta[0]),
+        "p3_biorthonormality": float(np.abs(phi @ eta.T - eye).max()),
+        "p3_ladder_relations": max(ladder),
+        "p4_resolution_of_identity": float(np.linalg.norm(phi.T @ eta - eye)),
+        "p5_frame_bounds": max(deficits),
+        "p5_metric_duality": float(np.linalg.norm(s_phi @ s_eta - eye)),
+        "commutator_gaps": float(commutator),
+        "eigen_relations": max(float(left.max()), float(right.max())),
+    }
+
+
+def _gauged_chebyshev(n):
+    m, sys = chebyshev_model(n)
+    nu = np.exp(np.random.default_rng(n).uniform(np.log(0.5), np.log(2.0), n))
+    return rescale(sys, nu), None, m
+
+
+def _two_param(beta, delta):
+    a, b, sys = two_param_model(beta, delta)
+    return sys, LadderPair(a, b), b @ a
+
+
+class TestSystemChecksBitForBit:
+    @pytest.mark.parametrize(
+        "build, args",
+        [*((_gauged_chebyshev, (n,)) for n in (2, 3, 4, 5, 6, 32)), *((_two_param, bd) for bd in ((1.0, -1.0), (0.7, -2.3), (3.1, -0.4)))],
+        ids=[*(f"chebyshev-{n}" for n in (2, 3, 4, 5, 6, 32)), "two-param-1-1", "two-param-0.7-2.3", "two-param-3.1-0.4"],
+    )
+    def test_residuals_match_the_per_relation_expressions(self, build, args):
+        # The two-param model at (0.7, -2.3) tells full products sliced from
+        # products of slices (phi[1:] a^T), which round differently.
+        sys, ladders, m = build(*args)
+        with np.errstate(over="raise", invalid="raise", divide="raise"):  # the CLI's setting
+            checks = system_checks(sys, ladders, m)
+            expected = _reference_residuals(sys, ladders if ladders is not None else build_ladders(sys), m)
+        assert {c.name: c.residual.hex() for c in checks} == {name: value.hex() for name, value in expected.items()}
