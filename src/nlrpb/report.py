@@ -6,7 +6,6 @@ import math
 from dataclasses import dataclass, field
 
 from .errors import ValidationError
-from .linalg import freeze
 
 __all__ = ["Check", "VerificationReport"]
 
@@ -24,7 +23,9 @@ class Check:
     def __post_init__(self):
         residual = float(self.residual)
         tolerance = float(self.tolerance)
-        freeze(self, residual=residual, tolerance=tolerance, passed=math.isfinite(residual) and residual <= tolerance)
+        object.__setattr__(self, "residual", residual)
+        object.__setattr__(self, "tolerance", tolerance)
+        object.__setattr__(self, "passed", math.isfinite(residual) and residual <= tolerance)
 
     def to_dict(self) -> dict:
         return {

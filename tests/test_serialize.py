@@ -1,5 +1,6 @@
 import dataclasses
 import datetime
+import itertools
 import json
 import math
 import os
@@ -141,6 +142,128 @@ class TestSystemCodec:
     def test_non_dict(self):
         with pytest.raises(SchemaError):
             serialize.system_from_dict([1, 2, 3])
+
+
+# The number-list decoder before its marshal tier: the reference that every
+# tier must match, array bytes and SchemaError text alike.
+def _reference_bulk_floats(values, entries):
+    if set(map(type, entries)) <= {int, float}:
+        try:
+            arr = np.array(values, dtype=float)
+        except OverflowError:
+            return None
+        if np.isfinite(arr).all():
+            return arr
+    return None
+
+
+def _reference_as_float_list(values, name):
+    serialize._require(isinstance(values, list), f"{name} must be a list")
+    arr = _reference_bulk_floats(values, values)
+    if arr is not None:
+        return arr
+    return np.array([serialize._as_float(v, f"{name}[{i}]") for i, v in enumerate(values)], dtype=float)
+
+
+def _reference_rows_from(doc, n, name):
+    serialize._require(isinstance(doc, list) and len(doc) == n, f"{name} must be a list of {n} rows")
+    if all(type(row) is list and len(row) == n for row in doc):
+        arr = _reference_bulk_floats(doc, itertools.chain.from_iterable(doc))
+        if arr is not None:
+            return arr
+    rows = []
+    for i, row in enumerate(doc):
+        vals = _reference_as_float_list(row, f"{name}[{i}]")
+        serialize._require(len(vals) == n, f"{name}[{i}] must have {n} entries")
+        rows.append(vals)
+    return np.array(rows)
+
+
+def _outcome(decode, *args):
+    """What a decoder gives: its array's dtype, shape and bytes, or its SchemaError text."""
+    try:
+        arr = decode(*args)
+    except SchemaError as exc:
+        return str(exc)
+    return arr.dtype.str, arr.shape, arr.tobytes()
+
+
+_EXTREMES = [-0.0, 5e-324, 1.7976931348623157e308, -1.7976931348623157e308]
+# Entries that break a list of exact floats, each in its own way; "0.25"
+# takes 9 bytes in marshal, as a float does.
+_INTRUDERS = [True, 7, "0.5", "0.25", None, [1.0], np.float64(2.5), object()]
+_MIXED = (
+    st.floats(allow_nan=False, allow_infinity=False)
+    | st.sampled_from(_EXTREMES + [math.nan, math.inf, -math.inf, 10**400, -(2**64), 0, False])
+    | st.sampled_from(_INTRUDERS)
+    | st.integers()
+)
+
+
+def _float_list(size, seed):
+    rng = np.random.default_rng(seed)
+    values = (rng.standard_normal(size) * 10.0 ** rng.integers(-300, 300, size)).tolist()
+    for value, at in zip(_EXTREMES, rng.permutation(size)):
+        values[at] = value
+    return values
+
+
+class TestDecodeTiers:
+    """Every tier of the number-list decoder matches the reference decoder."""
+
+    def assert_as_reference(self, values):
+        assert _outcome(serialize._as_float_list, values, "data") == _outcome(_reference_as_float_list, values, "data")
+
+    @pytest.mark.parametrize("value", _EXTREMES)
+    def test_single_floats(self, value):
+        self.assert_as_reference([value])
+
+    @pytest.mark.parametrize("size", [25, 1024, 4096])
+    def test_float_lists(self, size):
+        values = _float_list(size, size)
+        self.assert_as_reference(values)
+        arr = serialize._as_float_list(values, "data")
+        assert [math.copysign(1.0, v) for v in arr[arr == 0.0]] == [-1.0]
+
+    @pytest.mark.parametrize("intruder", _INTRUDERS, ids=["bool", "int", "str", "str-9-bytes", "null", "list", "np.float64", "object"])
+    @pytest.mark.parametrize("position", [0, 500, 999], ids=["first", "middle", "last"])
+    def test_one_intruder_in_a_float_list(self, intruder, position):
+        values = _float_list(1000, position)
+        values[position] = intruder
+        self.assert_as_reference(values)
+
+    @pytest.mark.parametrize(
+        "values",
+        [[1, 2.5, -0.0, 5e-324], [0] * 10, [3, 1.5, True], [2**63 + 1, 1e308], [10**400, 1.0], [-1, None]],
+        ids=["mixed", "ints", "bool", "beyond-64-bit", "beyond-float", "null"],
+    )
+    def test_lists_that_start_with_an_int(self, values):
+        self.assert_as_reference(values)
+
+    def test_empty_list(self):
+        self.assert_as_reference([])
+
+    @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=40), st.lists(st.tuples(st.integers(0, 40), _MIXED), max_size=3))
+    @settings(max_examples=300, deadline=None)
+    def test_mixed_lists(self, values, inserts):
+        for at, value in inserts:
+            values.insert(at, value)
+        self.assert_as_reference(values)
+
+    @given(st.integers(1, 5), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_mixed_rows(self, n, data):
+        rows = [data.draw(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=n, max_size=n)) for _ in range(n)]
+        for _ in range(data.draw(st.integers(0, 2))):
+            row = rows[data.draw(st.integers(0, n - 1))]
+            row[data.draw(st.integers(0, n - 1))] = data.draw(_MIXED)
+        row = rows[data.draw(st.integers(0, n - 1))]
+        length = data.draw(st.sampled_from(["kept", "short", "long"]))
+        if length == "short":
+            row.pop()
+        elif length == "long":
+            row.append(1.0)
+        assert _outcome(serialize._rows_from, rows, n, "phi") == _outcome(_reference_rows_from, rows, n, "phi")
 
 
 class TestCryptoCodec:
@@ -389,6 +512,32 @@ class TestLoadDocument:
         path.write_bytes(opener * depth + b"1" + closer * depth)
         with pytest.raises(SchemaError, match="nested deeper than"):
             serialize.load_document(path)
+
+    @pytest.mark.parametrize("offset", [65535, 65536], ids=["window-end", "window-start"])
+    @pytest.mark.parametrize("opens", [serialize.MAX_DEPTH, serialize.MAX_DEPTH + 1], ids=["at-limit", "over"])
+    def test_opener_at_a_window_edge_is_counted_once(self, tmp_path, monkeypatch, offset, opens):
+        # Openers inside a string: the count sees them and the exact scan does
+        # not, so the scan runs, and the document loads, iff the count passes the limit.
+        head = b'["' + b"{" * (opens - 2)
+        text = head + b" " * (offset - len(head)) + b'["]'
+        assert text.index(b"[", 1) == offset
+        scans = []
+        monkeypatch.setattr(serialize, "_nesting_depth", lambda data: scans.append(data) or 1)
+        path = tmp_path / "edge.json"
+        path.write_bytes(text)
+        assert serialize.load_document(path) == [text[2:-2].decode()]
+        assert len(scans) == (opens > serialize.MAX_DEPTH)
+
+    @pytest.mark.parametrize("extra, loads", [(0, True), (1, False)], ids=["at-limit", "over"])
+    def test_nesting_after_padding_beyond_the_first_window(self, tmp_path, extra, loads):
+        depth = serialize.MAX_DEPTH + extra  # the object is one level, the arrays the rest
+        path = tmp_path / "padded.json"
+        path.write_bytes(b'{"pad": "' + b"x" * 70_000 + b'", "v": ' + b"[" * (depth - 1) + b"0" + b"]" * (depth - 1) + b"}")
+        if loads:
+            assert len(serialize.load_document(path)["pad"]) == 70_000
+        else:
+            with pytest.raises(SchemaError, match="nested deeper than"):
+                serialize.load_document(path)
 
     def test_many_shallow_arrays_load(self, tmp_path):
         rows = [[float(i)] for i in range(2 * serialize.MAX_DEPTH)]  # a system above N of about 510
