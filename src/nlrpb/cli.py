@@ -37,7 +37,7 @@ import numpy as np
 from . import serialize
 from .cryptoherm import crypto_roundtrip, hermitize, hermitized_checks, nlrpb_roundtrip
 from .errors import ConvergenceError, SchemaError, ValidationError
-from .linalg import jacobi_eigh, symmetric_eigenvalues
+from .linalg import jacobi_eigh, symmetric_part_eigenvalues
 from .models import _FAMILIES, chebyshev_model, chebyshev_paper_normalization, stored_params_check, two_param_model
 from .pseudoboson import LadderPair, build_ladders, build_metrics, build_system, stored_metrics_check, system_checks
 from .report import Check
@@ -167,7 +167,7 @@ def resolve_tolerance(args):
 def _metric_scalars(s_eta) -> dict:
     """Extreme eigenvalues of S_eta and their ratio; the ratio is None (null)
     when lambda_min <= 0 or the ratio is beyond float64."""
-    lam_min, lam_max = (float(v) for v in symmetric_eigenvalues(s_eta)[[0, -1]])
+    lam_min, lam_max = (float(v) for v in symmetric_part_eigenvalues(s_eta)[0][[0, -1]])
     # Python float division: an overflow gives inf, not an exception
     cond = lam_max / lam_min if lam_min > 0.0 else math.inf
     return scalars_section(

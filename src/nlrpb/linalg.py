@@ -13,16 +13,17 @@ call, but skip the sign fix: V f(lambda) V^T comes out bit for bit the
 same for either sign of each column of V, since the signs cancel.
 
 Checks that read only eigenvalues (``pseudoboson.verify_axioms``'
-``p5_frame_bounds`` and the ``model`` report's S_eta scalars) call
-``symmetric_eigenvalues``, which runs ``numpy.linalg.eigvalsh`` with the
-same input rule (2-d, finite, square, symmetric) and errors.  The
-symmetry rule first compares the bits of a and a^T and solves an exactly
-symmetric matrix as it is; any other must pass ``symmetry_excess``,
-||a - a^T||_F within 1e-12 max(||a||_F, 1), and is solved as
-``symmetric_part(a)``, which halves before it adds so that entries near
-the float64 range do not overflow (it changes an exactly symmetric
-matrix only where halving rounds, below 2^-1021).  The eigensolvers raise
-on the excess; ``cryptoherm.verify_chwrt`` reports it in ``metric_spd``."""
+``p5_frame_bounds``, the ``model`` report's S_eta scalars and
+``cryptoherm.verify_chwrt``'s ``metric_spd``) call
+``symmetric_part_eigenvalues``, which runs ``numpy.linalg.eigvalsh`` on
+finite square input.  The symmetry rule first compares the bits of a and
+a^T and solves an exactly symmetric matrix as it is; any other is solved
+as ``symmetric_part(a)``, which halves before it adds so that entries
+near the float64 range do not overflow (it changes an exactly symmetric
+matrix only where halving rounds, below 2^-1021), and is measured by
+``symmetry_excess``, ||a - a^T||_F within 1e-12 max(||a||_F, 1).  The
+eigensolvers raise on a positive excess; the values solve returns it,
+and ``verify_chwrt`` reports it in ``metric_spd``."""
 
 from __future__ import annotations
 
@@ -201,16 +202,27 @@ def _symmetric_split(a: np.ndarray) -> tuple:
     return symmetric_part(a), symmetry_excess(a)
 
 
-def _symmetrized(a, name: str) -> np.ndarray:
+def _symmetrized(a) -> np.ndarray:
     """The S of ``_symmetric_split(a)`` after the eigensolvers' one input rule:
     ``a`` is a finite square float64 matrix that passes ``symmetry_excess``."""
-    a = _checked(np.asarray(a, dtype=float), name, 2)  # no copy: the solve does not write to it
+    a = _checked(np.asarray(a, dtype=float), "jacobi_eigh", 2)  # no copy: the solve does not write to it
     if a.shape[0] != a.shape[1]:
-        raise ValidationError(f"{name}: matrix must be square, got {a.shape}")
+        raise ValidationError(f"jacobi_eigh: matrix must be square, got {a.shape}")
     sym, excess = _symmetric_split(a)
     if excess > 0.0:
-        raise ValidationError(f"{name}: matrix is not symmetric within tolerance")
+        raise ValidationError("jacobi_eigh: matrix is not symmetric within tolerance")
     return sym
+
+
+def _lapack(sym: np.ndarray, vectors: bool):
+    """``numpy.linalg.eigh(sym)``, or ``eigvalsh(sym)`` without ``vectors``, looked
+    up per call so that a wrapper on numpy.linalg sees the solve; LinAlgError becomes
+    ConvergenceError (the values solve keeps its former entry's name in the text)."""
+    name, solve = ("jacobi_eigh", np.linalg.eigh) if vectors else ("symmetric_eigenvalues", np.linalg.eigvalsh)
+    try:
+        return solve(sym)
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceError(f"{name}: {exc}") from exc
 
 
 def jacobi_eigh(a) -> SymEig:
@@ -223,41 +235,17 @@ def jacobi_eigh(a) -> SymEig:
     The name is kept from the Jacobi iteration this replaced, because
     the benchmark traces the eigensolver by that name.
     """
-    lam, vecs = _eigh(a)
+    lam, vecs = _lapack(_symmetrized(a), vectors=True)
     _fix_signs(vecs)
     return SymEig(lam, vecs)
 
 
-def _eigh(a) -> tuple:
-    """(lambda, V) of ``symmetric_part(a)`` after ``jacobi_eigh``'s input rule; V signed as LAPACK leaves it."""
-    sym = _symmetrized(a, "jacobi_eigh")
-    try:
-        return np.linalg.eigh(sym)  # looked up per call, so a wrapper on numpy.linalg sees the solve
-    except np.linalg.LinAlgError as exc:
-        raise ConvergenceError(f"jacobi_eigh: {exc}") from exc
-
-
-def symmetric_eigenvalues(a) -> np.ndarray:
-    """Ascending eigenvalues of a real symmetric matrix by LAPACK
-    (``numpy.linalg.eigvalsh``), with ``jacobi_eigh``'s input rule and
-    errors, for callers that never read the eigenvectors."""
-    return _eigvalsh(_symmetrized(a, "symmetric_eigenvalues"))
-
-
 def symmetric_part_eigenvalues(a: np.ndarray) -> tuple:
-    """(eigenvalues, excess) of ``_symmetric_split(a)`` for a finite square
-    float64 ``a`` that need not pass the symmetry rule: the excess is
-    returned, not raised, and the solve is ``symmetric_eigenvalues``'."""
+    """(ascending eigenvalues, excess) of ``_symmetric_split(a)`` for a finite
+    square float64 ``a``, for callers that never read the eigenvectors: the
+    excess is returned, not raised, and the solve is ``numpy.linalg.eigvalsh``."""
     sym, excess = _symmetric_split(a)
-    return _eigvalsh(sym), excess
-
-
-def _eigvalsh(sym: np.ndarray) -> np.ndarray:
-    try:
-        # looked up per call, so a wrapper set on numpy.linalg sees the solve
-        return np.linalg.eigvalsh(sym)
-    except np.linalg.LinAlgError as exc:
-        raise ConvergenceError(f"symmetric_eigenvalues: {exc}") from exc
+    return _lapack(sym, vectors=False), excess
 
 
 def spd_deficit(eigenvalues) -> float:
@@ -274,7 +262,7 @@ def spd_deficit(eigenvalues) -> float:
 def _spd_root(a, name: str, scale) -> np.ndarray:
     """V scale(V, sqrt(lambda)) V^T, symmetrized, after the SPD gate on lambda.
     V is not sign-fixed: a flipped column flips both factors of its products."""
-    lam, v = _eigh(a)
+    lam, v = _lapack(_symmetrized(a), vectors=True)
     if spd_deficit(lam) > 0.0:
         raise ValidationError(
             f"{name}: matrix is not positive definite "

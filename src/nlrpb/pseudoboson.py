@@ -37,7 +37,7 @@ functions, so a builder and a report cannot disagree on a verdict.
 The residuals take as few passes as give the bits of one relation at a
 time: row norms once per system, one norm pass for the four p3 ladder
 relations (rows of the full products phi a^T, phi b^T, eta a, eta b),
-and S_phi, S_eta formed and tested once each in ``verify_axioms``.
+and S_phi, S_eta formed and tested once each, in ``_frame_operators``.
 """
 
 from __future__ import annotations
@@ -125,14 +125,13 @@ class LadderPair:
 
 @dataclass(frozen=True)
 class MetricPair:
-    """Frame operators S_phi and S_eta (mutually inverse when valid)."""
+    """``build_metrics``' S_phi and S_eta (mutually inverse when valid), held read-only."""
 
     s_phi: np.ndarray
     s_eta: np.ndarray
 
     def __post_init__(self):
-        s_phi, s_eta = as_square_pair("metrics", self.s_phi, self.s_eta, ("s_phi", "s_eta"))
-        freeze(self, s_phi=s_phi, s_eta=s_eta)
+        freeze(self, s_phi=self.s_phi, s_eta=self.s_eta)
 
 
 def gap_deficit(values) -> float:
@@ -177,9 +176,17 @@ def build_ladders(sys: BiorthogonalSystem) -> LadderPair:
     return LadderPair(a, b)
 
 
+def _frame_operators(sys: BiorthogonalSystem) -> tuple:
+    """(S_phi, S_eta) = (phi^T phi, eta^T eta), sums of rank-one projectors,
+    each tested for finite entries.  As numpy forms x^T x it is exactly
+    symmetric, so the eigensolvers' symmetry rule has nothing to raise."""
+    s_phi = _checked(sys.phi.T @ sys.phi, "s_phi", 2)
+    return s_phi, _checked(sys.eta.T @ sys.eta, "s_eta", 2)
+
+
 def build_metrics(sys: BiorthogonalSystem) -> MetricPair:
     """Frame operators as Gram-type sums of rank-one projectors."""
-    return MetricPair(sys.phi.T @ sys.phi, sys.eta.T @ sys.eta)
+    return MetricPair(*_frame_operators(sys))
 
 
 def verify_axioms(sys: BiorthogonalSystem, ladders: LadderPair, tolerance=None) -> VerificationReport:
@@ -212,10 +219,7 @@ def verify_axioms(sys: BiorthogonalSystem, ladders: LadderPair, tolerance=None) 
         norms = np.concatenate((nphi[1:], nphi[:-1], neta[:-1], neta[1:]))
         ladder = float((frobenius_norm(lhs - r * rhs, axis=1) / norms).max())
 
-    # build_metrics' frame operators, tested as MetricPair tests them.  As
-    # numpy forms x^T x it is exactly symmetric: the rule has nothing to raise.
-    s_phi = _checked(phi.T @ phi, "s_phi", 2)
-    s_eta = _checked(eta.T @ eta, "s_eta", 2)
+    s_phi, s_eta = _frame_operators(sys)
     deficit = max(spd_deficit(symmetric_part_eigenvalues(s)[0]) for s in (s_phi, s_eta))
     eye = np.eye(n)
 

