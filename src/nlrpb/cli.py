@@ -214,7 +214,7 @@ def _cmd_verify(args) -> int:
     kind = serialize.detect_kind(doc_in)
     if kind == "pair":
         pair = serialize.crypto_from_dict(doc_in)
-        checks, hs = hermitized_checks(pair.h_matrix, pair.theta, tol)
+        checks, hs = hermitized_checks(pair, tol)
         sections = [checks_section("cryptohermiticity", checks)]
         if hs is not None:
             sections.append(spectrum_section("hermitized spectrum (shifted)", hs.spectrum))

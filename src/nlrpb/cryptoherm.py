@@ -14,11 +14,12 @@ representations convert into each other:
 ``nlrpb_roundtrip`` and ``crypto_roundtrip`` convert, convert back and
 report how much of the start survived, at ROUNDTRIP_TOL by default.
 
-``hermitized_checks`` is the one home of the pair's rules: it reports
-``verify_chwrt``'s checks and, when those pass, builds h and adds
-``hermitized_symmetry`` (||h - h^T|| relative to max(||h||, 1)) and
+``hermitized_checks`` is the one home of the pair's rules: on a validated
+``CryptoPair`` it reports ``verify_chwrt``'s checks and, when those pass,
+builds h from roots of the split of Theta that the metric check solved and
+adds ``hermitized_symmetry`` (||h - h^T|| relative to max(||h||, 1)) and
 ``spectrum_min_gap`` (every eigenvalue gap at least MIN_EPS_GAP).
-``hermitize`` raises on the first of those checks that fails.  It
+``hermitize`` builds the pair and raises on the first check that fails.  It
 stores the spectrum shifted so its minimum is exactly zero, recording
 the shift, which keeps the stored matrix consistent with
 h e_n = spectrum[n] e_n while the original operator is recovered as
@@ -35,18 +36,20 @@ from .errors import ValidationError
 from .linalg import (
     _TINY,
     SPD_GATE,
+    _eigh,
+    _lapack,
+    _spd_root,
+    _symmetric_split,
     as_matrix,
     as_square_pair,
     effective_tolerance,
     freeze,
     frobenius_norm,
-    jacobi_eigh,
     residual_norm,
     spd_deficit,
     spd_inv_sqrt,
     spd_sqrt,
     symmetric_part,
-    symmetric_part_eigenvalues,
 )
 from .pseudoboson import MIN_EPS_GAP, BiorthogonalSystem, build_ladders, build_system, gap_deficit
 from .report import Check, VerificationReport, raise_first_failure
@@ -116,33 +119,30 @@ class HermitizedSystem:
         freeze(self, h=h, shift=float(self.shift), spectrum=spectrum, e=e)
 
 
+def _chwrt_checks(pair: CryptoPair, tolerance) -> tuple:
+    """(``verify_chwrt``'s two checks, Theta's symmetric split) for a validated pair:
+    the split is what the metric's values solve ran on, and the SPD roots reuse it."""
+    h, t = pair.h_matrix, pair.theta
+    tol = effective_tolerance(h.shape[0], tolerance)
+    t_sym, asymmetry = _symmetric_split(t)
+    metric_residual = max(0.0, asymmetry, spd_deficit(_lapack(t_sym, vectors=False)))
+    th = t @ h
+    # float64 division, so an overflow raises under the CLI's errstate
+    crypto_residual = residual_norm(th, h.T @ t) / np.maximum(frobenius_norm(th), _TINY)
+    return (Check("cryptohermiticity", crypto_residual, tol), Check("metric_spd", metric_residual, 0.0)), t_sym
+
+
 def verify_chwrt(h_matrix, theta, tolerance=None) -> VerificationReport:
     """Report on Theta being SPD and on the residual Theta H - H^T Theta.
 
     The cryptohermiticity residual is relative to ||Theta H||_F; the
     metric entry is a positive-definiteness deficit with tolerance 0.
     """
-    pair = CryptoPair(h_matrix, theta)
-    h, t = pair.h_matrix, pair.theta
-    tol = effective_tolerance(h.shape[0], tolerance)
-
-    lam, asymmetry = symmetric_part_eigenvalues(t)
-    metric_residual = max(0.0, asymmetry, spd_deficit(lam))
-
-    th = t @ h
-    # float64 division, so an overflow raises under the CLI's errstate
-    crypto_residual = residual_norm(th, h.T @ t) / np.maximum(frobenius_norm(th), _TINY)
-
-    return VerificationReport(
-        (
-            Check("cryptohermiticity", crypto_residual, tol),
-            Check("metric_spd", metric_residual, 0.0),
-        )
-    )
+    return VerificationReport(_chwrt_checks(CryptoPair(h_matrix, theta), tolerance)[0])
 
 
-def hermitized_checks(h_matrix, theta, tolerance=None):
-    """(checks, HermitizedSystem or None) for the pair (H, Theta).
+def hermitized_checks(pair: CryptoPair, tolerance=None):
+    """(checks, HermitizedSystem or None) for the validated pair (H, Theta).
 
     The checks are ``verify_chwrt``'s; when they pass, h = Theta^{1/2} H
     Theta^{-1/2} is built, diagonalized and ``hermitized_symmetry`` and
@@ -150,17 +150,18 @@ def hermitized_checks(h_matrix, theta, tolerance=None):
     ``verify_chwrt`` fails; it is returned even when a later check fails,
     so a report can show the spectrum it judged.
     """
-    rep = verify_chwrt(h_matrix, theta, tolerance)
-    if not rep.passed:
-        return list(rep.checks), None
-    h = np.asarray(h_matrix, dtype=float)  # verify_chwrt has validated both
-    t = np.asarray(theta, dtype=float)
-    checks = list(rep.checks)
+    first, t_sym = _chwrt_checks(pair, tolerance)
+    checks = list(first)
+    if not all(c.passed for c in first):
+        return checks, None
+    # t_sym passed metric_spd, and symmetric_part(raw) is finite (residual_norm rejects
+    # a non-finite raw) and exactly symmetric: both pass the solvers' input rule already
+    h = pair.h_matrix
     n = h.shape[0]
-    raw = spd_sqrt(t) @ h @ spd_inv_sqrt(t)
+    raw = _spd_root(t_sym, "spd_sqrt", np.multiply) @ h @ _spd_root(t_sym, "spd_inv_sqrt", np.divide)
     asym = residual_norm(raw, raw.T) / max(float(frobenius_norm(raw)), 1.0)
     sym = symmetric_part(raw)
-    eig = jacobi_eigh(sym)
+    eig = _eigh(sym)
     lam = eig.eigenvalues
     checks.append(Check("hermitized_symmetry", asym, effective_tolerance(n, tolerance)))
     checks.append(Check("spectrum_min_gap", gap_deficit(lam), 0.0))
@@ -175,7 +176,7 @@ def hermitize(h_matrix, theta, tolerance=None) -> HermitizedSystem:
     not cryptohermitian, the transform stays asymmetric (a false metric),
     or an eigenvalue gap is below MIN_EPS_GAP (degeneracy).
     """
-    checks, hs = hermitized_checks(h_matrix, theta, tolerance)
+    checks, hs = hermitized_checks(CryptoPair(h_matrix, theta), tolerance)
     raise_first_failure("hermitize", checks, _HERMITIZE_FAILURES)
     return hs
 

@@ -10,13 +10,15 @@ name ``jacobi_eigh`` of the Jacobi solver it replaced, because the
 benchmark traces the eigensolver by that name.  The SPD roots ``spd_sqrt``
 and ``spd_inv_sqrt`` share its input rule, its errors and its one LAPACK
 call, but skip the sign fix: V f(lambda) V^T comes out bit for bit the
-same for either sign of each column of V, since the signs cancel.
+same for either sign of each column of V, since the signs cancel.  Each of
+the three is the input rule ``_symmetrized`` plus a private core (``_eigh``,
+``_spd_root``), which ``cryptoherm.hermitized_checks`` calls directly.
 
 Checks that read only eigenvalues (``pseudoboson.verify_axioms``'
 ``p5_frame_bounds``, the ``model`` report's S_eta scalars and
-``cryptoherm.verify_chwrt``'s ``metric_spd``) call
-``symmetric_part_eigenvalues``, which runs ``numpy.linalg.eigvalsh`` on
-finite square input.  The symmetry rule first compares the bits of a and
+``cryptoherm.verify_chwrt``'s ``metric_spd``, which runs its two steps to
+keep the split) call ``symmetric_part_eigenvalues``: ``numpy.linalg.eigvalsh``
+on finite square input.  The symmetry rule first compares the bits of a and
 a^T and solves an exactly symmetric matrix as it is; any other is solved
 as ``symmetric_part(a)``, which halves before it adds so that entries
 near the float64 range do not overflow (it changes an exactly symmetric
@@ -178,13 +180,6 @@ class SymEig:
         freeze(self, eigenvalues=self.eigenvalues, eigenvectors=self.eigenvectors)
 
 
-def _fix_signs(vecs: np.ndarray) -> None:
-    # Flip each column whose first component above the cutoff is negative.
-    # Every column of an orthonormal matrix has such a component.
-    first = np.argmax(np.abs(vecs) > _SIGN_CUTOFF, axis=0)
-    vecs *= np.copysign(1.0, vecs[first, np.arange(vecs.shape[1])])
-
-
 def symmetric_part(a: np.ndarray) -> np.ndarray:
     """(a + a^T) / 2, computed as a/2 + a^T/2: finite for every finite
     ``a``, where the sum overflows for entries above about 9e307.  Bit for
@@ -217,8 +212,8 @@ def _symmetrized(a) -> np.ndarray:
 def _lapack(sym: np.ndarray, vectors: bool):
     """``numpy.linalg.eigh(sym)``, or ``eigvalsh(sym)`` without ``vectors``, looked
     up per call so that a wrapper on numpy.linalg sees the solve; LinAlgError becomes
-    ConvergenceError (the values solve keeps its former entry's name in the text)."""
-    name, solve = ("jacobi_eigh", np.linalg.eigh) if vectors else ("symmetric_eigenvalues", np.linalg.eigvalsh)
+    ConvergenceError."""
+    name, solve = ("jacobi_eigh", np.linalg.eigh) if vectors else ("symmetric_part_eigenvalues", np.linalg.eigvalsh)
     try:
         return solve(sym)
     except np.linalg.LinAlgError as exc:
@@ -235,8 +230,15 @@ def jacobi_eigh(a) -> SymEig:
     The name is kept from the Jacobi iteration this replaced, because
     the benchmark traces the eigensolver by that name.
     """
-    lam, vecs = _lapack(_symmetrized(a), vectors=True)
-    _fix_signs(vecs)
+    return _eigh(_symmetrized(a))
+
+
+def _eigh(sym: np.ndarray) -> SymEig:
+    """``jacobi_eigh`` of a ``sym`` that passed its input rule: each column whose first
+    component above the cutoff is negative is flipped (a unit column has such a component)."""
+    lam, vecs = _lapack(sym, vectors=True)
+    first = np.argmax(np.abs(vecs) > _SIGN_CUTOFF, axis=0)
+    vecs *= np.copysign(1.0, vecs[first, np.arange(vecs.shape[1])])
     return SymEig(lam, vecs)
 
 
@@ -259,10 +261,11 @@ def spd_deficit(eigenvalues) -> float:
     return max(0.0, SPD_GATE * lam_max - lam_min)
 
 
-def _spd_root(a, name: str, scale) -> np.ndarray:
-    """V scale(V, sqrt(lambda)) V^T, symmetrized, after the SPD gate on lambda.
+def _spd_root(sym: np.ndarray, name: str, scale) -> np.ndarray:
+    """V scale(V, sqrt(lambda)) V^T, symmetrized, after the SPD gate on the
+    eigenpairs of ``sym``, which already passed the eigensolvers' input rule.
     V is not sign-fixed: a flipped column flips both factors of its products."""
-    lam, v = _lapack(_symmetrized(a), vectors=True)
+    lam, v = _lapack(sym, vectors=True)
     if spd_deficit(lam) > 0.0:
         raise ValidationError(
             f"{name}: matrix is not positive definite "
@@ -273,9 +276,9 @@ def _spd_root(a, name: str, scale) -> np.ndarray:
 
 def spd_sqrt(a) -> np.ndarray:
     """Symmetric square root V diag(sqrt(lambda)) V^T of an SPD matrix."""
-    return _spd_root(a, "spd_sqrt", np.multiply)
+    return _spd_root(_symmetrized(a), "spd_sqrt", np.multiply)
 
 
 def spd_inv_sqrt(a) -> np.ndarray:
     """Symmetric inverse square root V diag(1/sqrt(lambda)) V^T."""
-    return _spd_root(a, "spd_inv_sqrt", np.divide)
+    return _spd_root(_symmetrized(a), "spd_inv_sqrt", np.divide)

@@ -1,8 +1,12 @@
+import contextlib
+import io
 import math
 
 import numpy as np
 import pytest
 
+from nlrpb import serialize
+from nlrpb.cli import main
 from nlrpb.cryptoherm import (
     ROUNDTRIP_TOL,
     CryptoPair,
@@ -11,13 +15,25 @@ from nlrpb.cryptoherm import (
     from_crypto,
     from_nlrpb,
     hermitize,
+    hermitized_checks,
     nlrpb_roundtrip,
     verify_chwrt,
 )
 from nlrpb.errors import ValidationError
-from nlrpb.linalg import jacobi_eigh, residual_norm, spd_deficit, symmetry_excess
+from nlrpb.linalg import (
+    effective_tolerance,
+    frobenius_norm,
+    jacobi_eigh,
+    residual_norm,
+    spd_deficit,
+    spd_inv_sqrt,
+    spd_sqrt,
+    symmetric_part,
+    symmetry_excess,
+)
 from nlrpb.models import chebyshev_model, chebyshev_paper_normalization, two_param_model
-from nlrpb.pseudoboson import build_metrics, build_system, rescale
+from nlrpb.pseudoboson import build_metrics, build_system, gap_deficit, rescale
+from nlrpb.report import Check
 
 
 S3 = math.sqrt(3.0)
@@ -153,6 +169,108 @@ class TestHermitize:
         m, _ = chebyshev_model(3)
         with pytest.raises(ValidationError, match="cryptohermitian"):
             hermitize(m, np.eye(3))
+
+
+def written_pair(n, tmp_path):
+    """The pair ``convert nlrpb2crypto`` writes for Chebyshev N=n in a seeded gauge."""
+    _, sys = chebyshev_model(n)
+    nu = np.exp(np.random.default_rng(n).uniform(np.log(0.5), np.log(2.0), n))
+    src, dst = tmp_path / "sys.json", tmp_path / "pair.json"
+    serialize.write_document(src, serialize.system_to_dict(rescale(sys, nu)))
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["convert", "nlrpb2crypto", str(src), "-o", str(dst)]) == 0
+    return serialize.crypto_from_dict(serialize.load_document(dst))
+
+
+def with_theta(pair, edit):
+    """``pair`` with Theta replaced by ``edit`` of a writable copy of it."""
+    return CryptoPair(pair.h_matrix, edit(pair.theta.copy()))
+
+
+def moved_entry(theta):
+    theta[0, 1] += 1e-14
+    return theta
+
+
+def negated_top_eigenvalue(theta):
+    lam, v = np.linalg.eigh(theta)
+    lam[-1] = -lam[-1]
+    return symmetric_part((v * lam) @ v.T)
+
+
+def composed_hermitized_checks(h, t):
+    """The pair verdict composed of public calls, as it was before
+    ``hermitized_checks`` reused verify_chwrt's split of Theta for its roots:
+    ``verify_chwrt``, then h = spd_sqrt(t) @ h @ spd_inv_sqrt(t), its
+    symmetric part, ``jacobi_eigh`` and the shift."""
+    rep = verify_chwrt(h, t)
+    checks = list(rep.checks)
+    if not rep.passed:
+        return checks, None
+    n = h.shape[0]
+    raw = spd_sqrt(t) @ h @ spd_inv_sqrt(t)
+    asym = residual_norm(raw, raw.T) / max(float(frobenius_norm(raw)), 1.0)
+    sym = symmetric_part(raw)
+    eig = jacobi_eigh(sym)
+    lam = eig.eigenvalues
+    checks += [Check("hermitized_symmetry", asym, effective_tolerance(n)), Check("spectrum_min_gap", gap_deficit(lam), 0.0)]
+    shift = float(lam[0])
+    return checks, HermitizedSystem(sym - shift * np.eye(n), shift, lam - shift, eig.eigenvectors.T)
+
+
+class TestHermitizedChecksBitForBit:
+    PAIRS = {
+        **{f"chebyshev-{n}": (lambda tmp, n=n: written_pair(n, tmp)) for n in (2, 3, 4, 5, 6, 32)},
+        "two-param-0.7-2.3": lambda tmp: from_nlrpb(two_param_model(0.7, -2.3)[2]),
+        # symmetric only within tolerance: the roots run on the symmetric part
+        "theta-skew-1e-14": lambda tmp: with_theta(written_pair(5, tmp), moved_entry),
+        # metric_spd fails (and so does cryptohermiticity), so no HermitizedSystem
+        "theta-indefinite": lambda tmp: with_theta(written_pair(5, tmp), negated_top_eigenvalue),
+        # cryptohermiticity fails
+        "h-identity-metric": lambda tmp: CryptoPair(written_pair(5, tmp).h_matrix, np.eye(5)),
+        # spectrum_min_gap fails, and the HermitizedSystem is still returned
+        "degenerate": lambda tmp: CryptoPair(np.eye(2), np.eye(2)),
+    }
+
+    @pytest.mark.parametrize("name", list(PAIRS))
+    def test_same_bits_as_the_public_composition(self, name, tmp_path):
+        pair = self.PAIRS[name](tmp_path)
+        with np.errstate(over="raise", invalid="raise", divide="raise"):  # the CLI's setting
+            checks, hs = hermitized_checks(pair)
+            ref_checks, ref_hs = composed_hermitized_checks(pair.h_matrix, pair.theta)
+        assert [(c.name, c.residual.hex(), c.tolerance, c.passed) for c in checks] == [
+            (c.name, c.residual.hex(), c.tolerance, c.passed) for c in ref_checks
+        ]
+        expected_failure = {
+            "theta-skew-1e-14": None,
+            "theta-indefinite": "metric_spd",
+            "h-identity-metric": "cryptohermiticity",
+            "degenerate": "spectrum_min_gap",
+        }.get(name)
+        failed = [c.name for c in checks if not c.passed]
+        assert expected_failure in failed if expected_failure else failed == []
+        assert (hs is None) is (ref_hs is None) is (expected_failure in ("metric_spd", "cryptohermiticity"))
+        if hs is not None:
+            for field in ("h", "spectrum", "e"):
+                assert getattr(hs, field).tobytes() == getattr(ref_hs, field).tobytes(), field
+            assert hs.shift.hex() == ref_hs.shift.hex()
+
+    def test_skewed_theta_takes_the_symmetrizing_branch(self, tmp_path):
+        pair = self.PAIRS["theta-skew-1e-14"](tmp_path)
+        assert pair.theta[0, 1] != pair.theta[1, 0] and symmetry_excess(pair.theta) <= 0.0
+
+    @pytest.mark.parametrize(
+        "h, theta, text",
+        [
+            (np.ones((2, 3)), np.eye(2), "crypto pair: need square matrices of equal size, got (2, 3)/(2, 2)"),
+            ([[math.nan, 0.0], [0.0, 1.0]], np.eye(2), "h_matrix: entries must be finite"),
+        ],
+        ids=["shapes", "non-finite"],
+    )
+    def test_hermitize_validates_the_pair(self, h, theta, text):
+        with pytest.raises(ValidationError) as exc:
+            hermitize(h, theta)
+        assert str(exc.value) == text
 
 
 class TestFromCrypto:

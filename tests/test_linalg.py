@@ -324,7 +324,7 @@ class TestSymmetricPartEigenvalues:
         with pytest.raises(ConvergenceError):
             symmetric_part_eigenvalues(random_symmetric(4, seed=3))
         assert main(["verify", str(path)]) == 2
-        assert capsys.readouterr().err.startswith("error: symmetric_eigenvalues: ")
+        assert capsys.readouterr().err.startswith("error: symmetric_part_eigenvalues: ")
 
     def test_input_is_not_modified(self):
         a = random_symmetric(5, seed=4)
