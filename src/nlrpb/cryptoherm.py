@@ -37,9 +37,7 @@ from .linalg import (
     _TINY,
     SPD_GATE,
     _eigh,
-    _lapack,
     _spd_root,
-    _symmetric_split,
     as_matrix,
     as_square_pair,
     effective_tolerance,
@@ -50,6 +48,7 @@ from .linalg import (
     spd_inv_sqrt,
     spd_sqrt,
     symmetric_part,
+    symmetric_part_eigenvalues,
 )
 from .pseudoboson import MIN_EPS_GAP, BiorthogonalSystem, build_ladders, build_system, gap_deficit
 from .report import Check, VerificationReport, raise_first_failure
@@ -124,8 +123,8 @@ def _chwrt_checks(pair: CryptoPair, tolerance) -> tuple:
     the split is what the metric's values solve ran on, and the SPD roots reuse it."""
     h, t = pair.h_matrix, pair.theta
     tol = effective_tolerance(h.shape[0], tolerance)
-    t_sym, asymmetry = _symmetric_split(t)
-    metric_residual = max(0.0, asymmetry, spd_deficit(_lapack(t_sym, vectors=False)))
+    lam, asymmetry, t_sym = symmetric_part_eigenvalues(t)
+    metric_residual = max(0.0, asymmetry, spd_deficit(lam))
     th = t @ h
     # float64 division, so an overflow raises under the CLI's errstate
     crypto_residual = residual_norm(th, h.T @ t) / np.maximum(frobenius_norm(th), _TINY)
@@ -206,10 +205,10 @@ def from_nlrpb(sys: BiorthogonalSystem) -> CryptoPair:
 def _line_cosine_defect(sys_a: BiorthogonalSystem, sys_b: BiorthogonalSystem) -> float:
     """Largest 1 - |cos| between matching phi rows and matching eta rows."""
     worst = 0.0
-    for rows_a, rows_b in ((sys_a.phi, sys_b.phi), (sys_a.eta, sys_b.eta)):
+    pairs = zip((sys_a.phi, sys_a.eta), (sys_b.phi, sys_b.eta), sys_a._row_norms, sys_b._row_norms)
+    for rows_a, rows_b, norms_a, norms_b in pairs:
         dots = np.abs(np.sum(rows_a * rows_b, axis=1))
-        norms = frobenius_norm(rows_a, axis=1) * frobenius_norm(rows_b, axis=1)
-        worst = max(worst, float((1.0 - dots / np.maximum(norms, _TINY)).max()))
+        worst = max(worst, float((1.0 - dots / np.maximum(norms_a * norms_b, _TINY)).max()))
     return worst
 
 

@@ -16,15 +16,15 @@ the three is the input rule ``_symmetrized`` plus a private core (``_eigh``,
 
 Checks that read only eigenvalues (``pseudoboson.verify_axioms``'
 ``p5_frame_bounds``, the ``model`` report's S_eta scalars and
-``cryptoherm.verify_chwrt``'s ``metric_spd``, which runs its two steps to
-keep the split) call ``symmetric_part_eigenvalues``: ``numpy.linalg.eigvalsh``
-on finite square input.  The symmetry rule first compares the bits of a and
-a^T and solves an exactly symmetric matrix as it is; any other is solved
-as ``symmetric_part(a)``, which halves before it adds so that entries
-near the float64 range do not overflow (it changes an exactly symmetric
-matrix only where halving rounds, below 2^-1021), and is measured by
-``symmetry_excess``, ||a - a^T||_F within 1e-12 max(||a||_F, 1).  The
-eigensolvers raise on a positive excess; the values solve returns it,
+``cryptoherm.verify_chwrt``'s ``metric_spd``, which keeps the split S that
+the solve returns for the SPD roots) call ``symmetric_part_eigenvalues``:
+``numpy.linalg.eigvalsh`` on finite square input.  The symmetry rule
+first compares the bits of a and a^T and solves an exactly symmetric matrix
+as it is; any other is solved as ``symmetric_part(a)``, which halves before it
+adds so that entries near the float64 range do not overflow (it changes an
+exactly symmetric matrix only where halving rounds, below 2^-1021), and is
+measured by ``symmetry_excess``, ||a - a^T||_F within 1e-12 max(||a||_F, 1).
+The eigensolvers raise on a positive excess; the values solve returns it,
 and ``verify_chwrt`` reports it in ``metric_spd``."""
 
 from __future__ import annotations
@@ -243,11 +243,11 @@ def _eigh(sym: np.ndarray) -> SymEig:
 
 
 def symmetric_part_eigenvalues(a: np.ndarray) -> tuple:
-    """(ascending eigenvalues, excess) of ``_symmetric_split(a)`` for a finite
-    square float64 ``a``, for callers that never read the eigenvectors: the
+    """(ascending eigenvalues, excess, S) of the split (S, excess) = ``_symmetric_split(a)``
+    of a finite square float64 ``a``, for callers that never read the eigenvectors: the
     excess is returned, not raised, and the solve is ``numpy.linalg.eigvalsh``."""
     sym, excess = _symmetric_split(a)
-    return _lapack(sym, vectors=False), excess
+    return _lapack(sym, vectors=False), excess, sym
 
 
 def spd_deficit(eigenvalues) -> float:

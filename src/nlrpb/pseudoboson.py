@@ -237,13 +237,15 @@ def verify_axioms(sys: BiorthogonalSystem, ladders: LadderPair, tolerance=None) 
 
 def commutator_defect(sys: BiorthogonalSystem, ladders: LadderPair, n: int | np.ndarray) -> float | np.ndarray:
     """Relative residual of [a, b] phi_n = (eps[n+1] - eps[n]) phi_n: a float
-    for an int level ``n``, one residual per level for an array of levels,
-    with [a, b] formed once.
+    for an int level ``n``, one residual per level for an integer array of
+    levels, with [a, b] formed once and ||phi_n|| from the system's row norms.
 
     Valid for 0 <= n <= N-2; the top level is rejected because b
-    annihilates phi[N-1] under truncation.
+    annihilates phi[N-1] under truncation, and so is a non-integer level.
     """
     levels = np.asarray(n)
+    if levels.dtype.kind not in "iu":
+        raise ValidationError(f"commutator_defect: levels must be integers, got dtype {levels.dtype}")
     outside = levels[(levels < 0) | (levels > sys.n - 2)]
     if outside.size:
         raise ValidationError(
@@ -254,7 +256,7 @@ def commutator_defect(sys: BiorthogonalSystem, ladders: LadderPair, n: int | np.
     gap = sys.eps[levels + 1] - sys.eps[levels]
     phi = sys.phi[levels]  # row k is phi_{levels[k]}
     res = phi @ comm.T - gap[..., None] * phi
-    defects = frobenius_norm(res, axis=-1) / np.maximum(frobenius_norm(phi, axis=-1), _TINY)
+    defects = frobenius_norm(res, axis=-1) / sys._row_norms[0][levels]
     return defects if levels.ndim else float(defects)
 
 

@@ -29,21 +29,21 @@ value.
 
 Input is parsed by orjson, from the file's bytes in one call.  Schema
 violations raise SchemaError, malformed files included.  Number lists
-are checked in bulk.  A list that starts with a float is packed by one
-``marshal.dumps(values, 2)``: n exact floats make a 5-byte header and n
-records of ``b"g"`` and 8 little-endian bytes.  Any other entry has
+are decoded in two tiers.  A list that starts with a float is packed by
+one ``marshal.dumps(values, 2)``: n exact floats make a 5-byte header
+and n records of ``b"g"`` and 8 little-endian bytes.  Any other entry has
 another code byte (``b"s"`` and raw bytes for a numpy scalar) or makes
 marshal raise ValueError (a float subclass), so entry k starts at byte
 5 + 9k under ``b"g"`` only if all before it are exact floats, and a
 packed length of 5 + 9n with ``b"g"`` at each such byte proves all n
-are.  The array is a strided view of those bytes, copied once; nothing
-is unmarshalled.  Other lists take an exact int/float type test and one
-numpy conversion; one finiteness test follows either way.  The rows of
-``phi`` and ``eta`` are checked as one flattened block the same way,
-after one pass over the row lengths.  Only a list or block that fails is
-walked entry by entry, to name its first bad index, such as
-``phi[i][j]``.  On one BLAS thread the lists of an N=32 artifact decode
-in 0.10-0.12 ms (0.23 ms before), and an N=64 pair's in 0.10 ms (0.30).
+are.  The array is a strided view of those bytes, copied once, and one
+finiteness test follows; nothing is unmarshalled.  The rows of ``phi``
+and ``eta`` are checked as one flattened block the same way, after one
+pass over the row lengths.  Every other list or block is walked entry
+by entry, which converts JSON integers and names the first bad index,
+such as ``phi[i][j]``.  On one BLAS thread the lists of an N=32 artifact
+decode in 0.10-0.12 ms, an N=64 pair's in 0.10 ms, and those of an
+all-int N=8 or N=64 system, which nlrpb never writes, in 79 us or 3.0 ms.
 
 orjson reads strict JSON, so some input fails at parsing that the stdlib
 ``json`` module parsed: NaN and Infinity literals, numbers beyond the
@@ -157,29 +157,20 @@ def _as_float(value, name: str) -> float:
 
 
 def _bulk_floats(values):
-    """``values`` as a float array if each entry is an exact int or float
-    and every result is finite; None otherwise, for the caller to walk the
-    entries and name the first bad one."""
-    arr = None
-    if values and type(values[0]) is float:
-        # A 5-byte header, then b"g" and 8 little-endian bytes per exact
-        # float; any other entry breaks the layout (see the module docstring).
-        try:
-            packed = marshal.dumps(values, 2)
-        except ValueError:  # an unmarshallable entry
-            packed = b""
-        n = len(values)
-        if len(packed) == 5 + 9 * n and packed[5::9] == b"g" * n:
-            arr = np.ndarray((n,), "<f8", packed, 6, (9,)).astype(float)
-    # Exact types: numpy would also convert bool and numeric strings.
-    if arr is None and set(map(type, values)) <= {int, float}:
-        try:
-            arr = np.array(values, dtype=float)
-        except OverflowError:  # an int beyond the float range
-            return None
-    if arr is not None and np.isfinite(arr).all():
-        return arr
-    return None
+    """``values`` as a float array if every entry is a finite exact float, as its
+    marshal layout proves (see the module docstring); None otherwise, for the
+    caller's walk, which decodes ints and names the first bad entry."""
+    if not values or type(values[0]) is not float:  # the view of []'s header is invalid
+        return None
+    try:
+        packed = marshal.dumps(values, 2)
+    except ValueError:  # an unmarshallable entry
+        return None
+    n = len(values)
+    if len(packed) != 5 + 9 * n or packed[5::9] != b"g" * n:
+        return None
+    arr = np.ndarray((n,), "<f8", packed, 6, (9,)).astype(float)
+    return arr if np.isfinite(arr).all() else None
 
 
 def _as_float_list(values, name: str) -> np.ndarray:

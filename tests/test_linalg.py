@@ -306,12 +306,21 @@ class TestSymmetricPartEigenvalues:
             q, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal((n, n)))
             a = (q * np.logspace(0.0, -log_cond, n)) @ q.T
             a = (a + a.T) / 2.0
-        lam, excess = symmetric_part_eigenvalues(a)
+        lam, excess, sym = symmetric_part_eigenvalues(a)
         ref = jacobi_eigh(a).eigenvalues
         assert excess == 0.0
+        assert sym is a  # the split of an exactly symmetric matrix is the matrix
         assert lam.shape == (n,)
         assert np.all(np.diff(lam) >= 0.0)
         assert np.abs(lam - ref).max() <= 8 * n * np.finfo(float).eps * np.abs(ref).max()
+        if n > 1:
+            # one off-diagonal entry moved: the split is the symmetric part, solved as returned
+            skew = a.copy()
+            skew[0, 1] += 1e-14
+            lam, excess, sym = symmetric_part_eigenvalues(skew)
+            assert sym.tobytes() == symmetric_part(skew).tobytes()
+            assert excess == symmetry_excess(skew) <= 0.0
+            assert lam.tobytes() == np.linalg.eigvalsh(sym).tobytes()
 
     def test_lapack_failure_is_convergence_error(self, monkeypatch, tmp_path, capsys):
         path = tmp_path / "system.json"

@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 
 from nlrpb.cli import checks_section
+from nlrpb.cryptoherm import from_crypto, from_nlrpb, nlrpb_roundtrip
 from nlrpb.errors import ValidationError
-from nlrpb.linalg import frobenius_norm, residual_norm, spd_deficit, symmetric_part_eigenvalues
+from nlrpb.linalg import _TINY, frobenius_norm, residual_norm, spd_deficit, symmetric_part_eigenvalues
 from nlrpb.models import chebyshev_model, chebyshev_paper_normalization, two_param_model
 from nlrpb.pseudoboson import (
     MIN_EPS_GAP,
@@ -262,6 +263,18 @@ class TestCommutatorDefectLevels:
         with pytest.raises(ValidationError, match="outside 0..1"):
             commutator_defect(sys, build_ladders(sys), levels)
 
+    @pytest.mark.parametrize(
+        "levels",
+        [0.5, 1.0, np.float64(1.0), True, False, "1", [True, False], [True, False, True]],
+        ids=["half", "float", "float64", "true", "false", "str", "bool-mask-2", "bool-mask-3"],
+    )
+    def test_non_integer_levels_rejected(self, levels):
+        # numpy would read a float as an index error, a bool array as a mask and
+        # a string as a ufunc error; each is refused as the level it is not
+        _, sys = chebyshev_model(3)
+        with pytest.raises(ValidationError, match="^commutator_defect: "):
+            commutator_defect(sys, build_ladders(sys), levels)
+
 
 class TestSystemChecks:
     def test_gate_first_then_every_check(self):
@@ -401,6 +414,51 @@ class TestSystemChecksBitForBit:
         with np.errstate(over="raise", invalid="raise", divide="raise"):  # the CLI's setting
             checks = system_checks(sys, ladders, m)
             expected = _reference_residuals(sys, ladders if ladders is not None else build_ladders(sys), m)
+        assert {c.name: c.residual.hex() for c in checks} == {name: value.hex() for name, value in expected.items()}
+
+
+def _reference_commutator_defect(sys, ladders, n):
+    """``commutator_defect`` with each level's norm ||phi_n|| computed again."""
+    levels = np.asarray(n)
+    comm = ladders.a @ ladders.b - ladders.b @ ladders.a
+    phi = sys.phi[levels]
+    res = phi @ comm.T - (sys.eps[levels + 1] - sys.eps[levels])[..., None] * phi
+    defects = frobenius_norm(res, axis=-1) / np.maximum(frobenius_norm(phi, axis=-1), _TINY)
+    return defects if levels.ndim else float(defects)
+
+
+def _reference_line_cosine_defect(sys_a, sys_b):
+    """``eigenline_cosines`` with the row norms of both systems computed again."""
+    worst = 0.0
+    for rows_a, rows_b in ((sys_a.phi, sys_b.phi), (sys_a.eta, sys_b.eta)):
+        dots = np.abs(np.sum(rows_a * rows_b, axis=1))
+        norms = frobenius_norm(rows_a, axis=1) * frobenius_norm(rows_b, axis=1)
+        worst = max(worst, float((1.0 - dots / np.maximum(norms, _TINY)).max()))
+    return worst
+
+
+class TestRowNormsBitForBit:
+    """The residuals that divide by the system's cached row norms give the
+    bits of norms computed per call."""
+
+    @pytest.mark.parametrize(
+        "build, args", [(_gauged_chebyshev, (5,)), (_gauged_chebyshev, (32,)), (_two_param, (0.7, -2.3))], ids=["chebyshev-5", "chebyshev-32", "two-param-0.7-2.3"]
+    )
+    def test_commutator_and_roundtrip_residuals(self, build, args):
+        sys = build(*args)[0]
+        ladders = build_ladders(sys)
+        n = sys.n
+        with np.errstate(over="raise", invalid="raise", divide="raise"):  # the CLI's setting
+            for level in [*range(n - 1), np.int64(n - 2), np.uint8(0)]:
+                got, want = commutator_defect(sys, ladders, level), _reference_commutator_defect(sys, ladders, level)
+                assert isinstance(got, float) and got.hex() == want.hex()
+            for levels in (np.arange(n - 1), [n - 2, 0, n - 2], np.arange(n - 1)[::-1].reshape(-1, 1), np.array([[0, n - 2], [n - 2, 0]], dtype=np.uint32)):
+                got, want = commutator_defect(sys, ladders, levels), _reference_commutator_defect(sys, ladders, levels)
+                assert got.shape == want.shape and got.tobytes() == want.tobytes()
+            _, checks = nlrpb_roundtrip(sys)
+            pair = from_nlrpb(sys)
+            back, _ = from_crypto(pair.h_matrix, pair.theta)
+            expected = {"eps_roundtrip": float(np.abs(back.eps - sys.eps).max()), "eigenline_cosines": _reference_line_cosine_defect(sys, back)}
         assert {c.name: c.residual.hex() for c in checks} == {name: value.hex() for name, value in expected.items()}
 
 
