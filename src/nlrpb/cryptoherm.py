@@ -32,13 +32,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
 from .linalg import (
     _TINY,
     SPD_GATE,
     _eigh,
     _spd_root,
-    as_matrix,
     as_square_pair,
     effective_tolerance,
     freeze,
@@ -100,7 +98,7 @@ class HermitizedSystem:
     ``h`` is the shifted symmetric matrix, so h e_n = spectrum[n] e_n
     with spectrum[0] = 0 and spectrum strictly increasing; ``shift``
     restores the original operator as h + shift I.  Rows of ``e`` are
-    the orthonormal eigenvectors.
+    the orthonormal eigenvectors.  A result: it holds what it is given.
     """
 
     h: np.ndarray
@@ -109,13 +107,7 @@ class HermitizedSystem:
     e: np.ndarray
 
     def __post_init__(self):
-        h = as_matrix(self.h, "h")
-        spectrum = np.array(self.spectrum, dtype=float)
-        e = as_matrix(self.e, "e")
-        n = h.shape[0]
-        if h.shape != (n, n) or e.shape != (n, n) or spectrum.shape != (n,):
-            raise ValidationError("hermitized system: inconsistent field shapes")
-        freeze(self, h=h, shift=float(self.shift), spectrum=spectrum, e=e)
+        freeze(self, h=self.h, spectrum=self.spectrum, e=self.e)
 
 
 def _chwrt_checks(pair: CryptoPair, tolerance) -> tuple:
@@ -165,7 +157,8 @@ def hermitized_checks(pair: CryptoPair, tolerance=None):
     checks.append(Check("hermitized_symmetry", asym, effective_tolerance(n, tolerance)))
     checks.append(Check("spectrum_min_gap", gap_deficit(lam), 0.0))
     shift = float(lam[0])
-    return checks, HermitizedSystem(sym - shift * np.eye(n), shift, lam - shift, eig.eigenvectors.T)
+    # C order: from_crypto's e @ root rounds differently on the transposed view at some N
+    return checks, HermitizedSystem(sym - shift * np.eye(n), shift, lam - shift, eig.eigenvectors.T.copy())
 
 
 def hermitize(h_matrix, theta, tolerance=None) -> HermitizedSystem:
@@ -193,12 +186,12 @@ def from_crypto(h_matrix, theta, tolerance=None):
     return sys, build_ladders(sys)
 
 
-def from_nlrpb(sys: BiorthogonalSystem) -> CryptoPair:
+def from_nlrpb(sys: BiorthogonalSystem, tolerance=None) -> CryptoPair:
     """Operator H = b a with metric Theta = S_eta; raises on the first
-    ``verify_chwrt`` check that the pair fails."""
+    ``verify_chwrt`` check, at ``tolerance``, that the pair fails."""
     lad = build_ladders(sys)
     pair = CryptoPair(lad.b @ lad.a, sys.eta.T @ sys.eta)  # S_eta, as build_metrics forms it
-    raise_first_failure("from_nlrpb", verify_chwrt(pair.h_matrix, pair.theta).checks, _FROM_NLRPB_FAILURES)
+    raise_first_failure("from_nlrpb", verify_chwrt(pair.h_matrix, pair.theta, tolerance).checks, _FROM_NLRPB_FAILURES)
     return pair
 
 
@@ -216,7 +209,7 @@ def nlrpb_roundtrip(sys: BiorthogonalSystem, tolerance=None):
     """(CryptoPair, checks): ``from_nlrpb(sys)``, then ``eps_roundtrip`` and
     ``eigenline_cosines`` of the system ``from_crypto`` rebuilds from it."""
     rt_tol = ROUNDTRIP_TOL if tolerance is None else tolerance
-    pair = from_nlrpb(sys)
+    pair = from_nlrpb(sys, tolerance)
     back, _ = from_crypto(pair.h_matrix, pair.theta, tolerance)
     eps_defect = float(np.abs(back.eps - sys.eps).max())
     checks = [
@@ -234,7 +227,7 @@ def crypto_roundtrip(pair: CryptoPair, tolerance=None):
     h, t = pair.h_matrix, pair.theta
     sys, _ = from_crypto(h, t, tolerance)
     hs = hermitize(h, t, tolerance)
-    back = from_nlrpb(sys)
+    back = from_nlrpb(sys, tolerance)
     h_defect = residual_norm(back.h_matrix, h - hs.shift * np.eye(sys.n)) / max(float(frobenius_norm(h)), 1.0)
     t_defect = residual_norm(back.theta, t) / max(float(frobenius_norm(t)), _TINY)
     checks = [

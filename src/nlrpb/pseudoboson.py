@@ -37,7 +37,8 @@ functions, so a builder and a report cannot disagree on a verdict.
 The residuals take as few passes as give the bits of one relation at a
 time: row norms once per system, one norm pass for the four p3 ladder
 relations (rows of the full products phi a^T, phi b^T, eta a, eta b),
-and S_phi, S_eta formed and tested once each, in ``_frame_operators``.
+and S_phi, S_eta formed and tested once each, by ``build_metrics`` alone.
+Input types validate their data; ``MetricPair``, a result, holds what it is given.
 """
 
 from __future__ import annotations
@@ -176,17 +177,11 @@ def build_ladders(sys: BiorthogonalSystem) -> LadderPair:
     return LadderPair(a, b)
 
 
-def _frame_operators(sys: BiorthogonalSystem) -> tuple:
+def build_metrics(sys: BiorthogonalSystem) -> MetricPair:
     """(S_phi, S_eta) = (phi^T phi, eta^T eta), sums of rank-one projectors,
     each tested for finite entries.  As numpy forms x^T x it is exactly
     symmetric, so the eigensolvers' symmetry rule has nothing to raise."""
-    s_phi = _checked(sys.phi.T @ sys.phi, "s_phi", 2)
-    return s_phi, _checked(sys.eta.T @ sys.eta, "s_eta", 2)
-
-
-def build_metrics(sys: BiorthogonalSystem) -> MetricPair:
-    """Frame operators as Gram-type sums of rank-one projectors."""
-    return MetricPair(*_frame_operators(sys))
+    return MetricPair(_checked(sys.phi.T @ sys.phi, "s_phi", 2), _checked(sys.eta.T @ sys.eta, "s_eta", 2))
 
 
 def verify_axioms(sys: BiorthogonalSystem, ladders: LadderPair, tolerance=None) -> VerificationReport:
@@ -219,7 +214,8 @@ def verify_axioms(sys: BiorthogonalSystem, ladders: LadderPair, tolerance=None) 
         norms = np.concatenate((nphi[1:], nphi[:-1], neta[:-1], neta[1:]))
         ladder = float((frobenius_norm(lhs - r * rhs, axis=1) / norms).max())
 
-    s_phi, s_eta = _frame_operators(sys)
+    metrics = build_metrics(sys)
+    s_phi, s_eta = metrics.s_phi, metrics.s_eta
     deficit = max(spd_deficit(symmetric_part_eigenvalues(s)[0]) for s in (s_phi, s_eta))
     eye = np.eye(n)
 

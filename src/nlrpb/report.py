@@ -42,9 +42,6 @@ class VerificationReport:
 
     checks: tuple
 
-    def __post_init__(self):
-        object.__setattr__(self, "checks", tuple(self.checks))
-
     @property
     def passed(self) -> bool:
         return all(c.passed for c in self.checks)

@@ -78,9 +78,7 @@ error, when orjson cannot match it:
   writes as ``null``.
 
 orjson still writes ``uuid.UUID`` and enum members, which json refuses;
-nlrpb passes neither.  The finiteness walk checks a list that starts
-with a float with one ``sum``, and walks it entry by entry only when that
-sum is not finite or raises.
+nlrpb passes neither.
 
 Writes go to a temp file next to the target followed by os.replace, so
 readers never observe partial documents.  The target is judged as given,
@@ -292,7 +290,12 @@ def model_artifact_from_dict(doc):
             _require(key not in mats_doc, f"format-{_ARTIFACT_FORMAT} matrices must not include {key!r}")
     else:
         keys += _FRAME_OPERATORS
-    matrices = {k: matrix_from_dict(v) for k, v in mats_doc.items()}
+    matrices = {}
+    for k, v in mats_doc.items():
+        try:
+            matrices[k] = matrix_from_dict(v)
+        except SchemaError as exc:
+            raise SchemaError(f"matrices[{k!r}]: {exc}") from exc
     for key in keys:
         _require(key in matrices, f"matrices must include {key!r}")
         _require(matrices[key].shape == (sys.n, sys.n), f"matrices[{key!r}] must be {sys.n} x {sys.n}")
@@ -333,16 +336,7 @@ def _all_finite(obj) -> bool:
         return math.isfinite(obj)
     if kind is dict:
         obj = obj.values()
-    elif kind is list or kind is tuple:
-        # One C-level sum is finite only if every entry is.  It is tried on
-        # lists that start with a float; a list whose sum raises or
-        # overflows is walked too.
-        try:
-            if obj and type(obj[0]) is float and math.isfinite(sum(obj)):
-                return True
-        except (TypeError, OverflowError):  # a str, None or container; an int beyond the float range
-            pass
-    else:
+    elif kind is not list and kind is not tuple:
         return True
     return all(map(_all_finite, obj))
 

@@ -133,6 +133,12 @@ class TestModelCommand:
         assert main(["model", "two-param", "--beta", "1", "--delta", "1"]) == 2
         assert "beta equals delta" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("beta", ["inf", "nan"])
+    def test_non_finite_parameter_invalid(self, capsys, beta):
+        assert main(["model", "two-param", "--beta", beta, "--delta=-1"]) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", "error: two-param family: beta and delta must be finite\n")
+
     def test_out_of_memory_is_invalid_parameters(self, capsys, monkeypatch):
         def refuse(n):
             raise MemoryError("Unable to allocate 74.5 GiB for an array with shape (100000, 100000)")
@@ -673,6 +679,25 @@ class TestConvertCommand:
             assert section["title"] == "roundtrip"
             assert [c["tolerance"] for c in section["checks"]] == [1e-3, 1e-3]
 
+    def test_env_tolerance_reaches_both_gates(self, capsys, tmp_path, monkeypatch):
+        # phi = G, eta = G^-T with cond(G) = 3e4, exact to rounding: at NLRPB_TOL=1e-4 verify
+        # passes the system and its pair, but the pairs that the conversions build leave
+        # cryptohermiticity residuals above the default 1e-10 (4.0e-10 forward, 1.3e-9 back)
+        r = np.random.default_rng(0)
+        u, v = (np.linalg.qr(r.standard_normal((8, 8)))[0] for _ in range(2))
+        g = (u * np.logspace(0, math.log10(3e4), 8)) @ v.T
+        src, pair = tmp_path / "sys.json", tmp_path / "pair.json"
+        serialize.write_document(src, serialize.system_to_dict(build_system(g, np.linalg.inv(g).T, np.arange(8.0), 1e-6)))
+        monkeypatch.setenv("NLRPB_TOL", "1e-4")
+        for argv in (
+            ["verify", str(src)],
+            ["convert", "nlrpb2crypto", str(src), "-o", str(pair)],
+            ["verify", str(pair)],
+            ["convert", "crypto2nlrpb", str(pair)],
+        ):
+            assert main(argv) == 0, argv
+            capsys.readouterr()
+
 
 class TestGapBoundary:
     """verify, convert and the builders apply one rule: a gap of MIN_EPS_GAP is admissible."""
@@ -1002,6 +1027,19 @@ class TestArtifactFormats:
         doc = copy.deepcopy(_model_artifacts(fmt)[0])
         del doc["matrices"][block]
         assert _verify_text(json.dumps(doc)) == (3, "", f"error: matrices must include {block!r}\n")
+
+    @pytest.mark.parametrize(
+        "key, edit, message",
+        [
+            ("x", lambda block: 5, "matrix document must be an object"),
+            ("m", lambda block: {**block, "data": ["0", *block["data"][1:]]}, "data[0] must be a number"),
+        ],
+        ids=["extra-key", "broken-m"],
+    )
+    def test_matrix_decode_error_names_its_key(self, key, edit, message):
+        doc = copy.deepcopy(_model_artifacts()[0])
+        doc["matrices"][key] = edit(doc["matrices"].get(key))
+        assert _verify_text(json.dumps(doc)) == (3, "", f"error: matrices[{key!r}]: {message}\n")
 
     @pytest.mark.parametrize("value", [3, True, 2.0, "2", 1, None, [2]], ids=repr)
     def test_any_other_format_is_a_schema_error(self, value):

@@ -56,16 +56,23 @@ class TestDataclasses:
         with pytest.raises(ValueError):
             pair.theta[0, 0] = 2.0
 
-    def test_hermitized_rejects_inconsistent_shapes(self):
-        with pytest.raises(ValidationError):
-            HermitizedSystem(np.eye(2), 0.0, np.array([0.0, 1.0, 2.0]), np.eye(2))
-
 
 class TestVerifyChwrt:
     def test_symmetric_operator_with_identity_metric(self):
         rep = verify_chwrt(H3_REF, np.eye(3))
         assert rep.passed
         assert rep["cryptohermiticity"].residual < 1e-15
+
+    def test_unknown_check_name_is_a_key_error(self):
+        with pytest.raises(KeyError):
+            verify_chwrt(H3_REF, np.eye(3))["hermitized_symmetry"]
+
+    @pytest.mark.parametrize("call", [verify_chwrt, hermitize])
+    def test_overflowing_product_is_not_a_residual(self, call):
+        # Theta H overflows to inf; residual_norm refuses it rather than report inf
+        h = np.array([[1e308, 1.0], [1.0, 1.7e308]])
+        with np.errstate(over="ignore"), pytest.raises(ValidationError, match="^residual_norm: entries must be finite$"):
+            call(h, np.array([[2.0, 1.0], [1.0, 2.0]]))
 
     def test_reference_pair_passes(self):
         m, theta = reference_pair_n3()
@@ -325,6 +332,32 @@ class TestFromNlrpb:
         assert str(err.value) == (
             "from_nlrpb: S_eta is not positive definite within the SPD gate (1e-12) (metric_spd residual 1.000e-12 > 0)"
         )
+
+    def test_tolerance_reaches_the_gate(self):
+        # phi = G, eta = G^-T with cond(G) = 1e5: exact to rounding, but Theta H - H^T Theta
+        # is left at about 2e-9 relative, above the default tolerance of 1e-10
+        r = np.random.default_rng(0)
+        u, v = (np.linalg.qr(r.standard_normal((8, 8)))[0] for _ in range(2))
+        g = (u * np.logspace(0, 5, 8)) @ v.T
+        sys = build_system(g, np.linalg.inv(g).T, np.arange(8.0), 1e-6)
+        pair = from_nlrpb(sys, tolerance=1e-6)
+        assert 1e-9 < verify_chwrt(pair.h_matrix, pair.theta)["cryptohermiticity"].residual <= 1e-6
+        with pytest.raises(ValidationError, match=r"cryptohermiticity residual \S+ > 1e-10"):
+            from_nlrpb(sys)
+
+
+class TestFromCryptoLayout:
+    """from_crypto composes its bases from C-ordered eigenvector rows.  A
+    transposed view rounds differently at some N (17-20, 25-28, 33-36 with
+    numpy 2.4), so HermitizedSystem.e must keep that layout."""
+
+    @pytest.mark.parametrize("n", range(2, 41))
+    def test_bases_match_the_c_order_composition(self, n):
+        pair = from_nlrpb(chebyshev_model(n)[1])
+        sys, _ = from_crypto(pair.h_matrix, pair.theta)
+        e = np.array(hermitize(pair.h_matrix, pair.theta).e, order="C")
+        assert sys.phi.tobytes() == (e @ spd_inv_sqrt(pair.theta)).tobytes()
+        assert sys.eta.tobytes() == (e @ spd_sqrt(pair.theta)).tobytes()
 
 
 class TestRoundtrip:

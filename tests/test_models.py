@@ -71,6 +71,11 @@ class TestChebyshevSpec:
         with pytest.raises(ValidationError):
             ChebyshevSpec(2.5)
 
+    @pytest.mark.parametrize("n", ["x", None])
+    def test_non_number_rejected(self, n):
+        with pytest.raises(ValidationError, match=f"^chebyshev family: size must be an integer, got {n!r}$"):
+            ChebyshevSpec(n)
+
     def test_size_bounded_by_addressable_array(self):
         # the spec allocates nothing, so the boundary itself can be probed
         largest = math.isqrt(maxsize // 8)
