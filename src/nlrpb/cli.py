@@ -113,7 +113,7 @@ def _render_md(doc: dict) -> str:
     out = [f"# nlrpb {doc['command']}", ""]
     tol = doc["tolerance"]
     out.append(f"- timestamp: {doc['timestamp']}")
-    out.append(f"- tolerance: {tol['value']} (source: {tol['source']})")
+    out.append(f"- tolerance: {'null' if tol['value'] is None else tol['value']} (source: {tol['source']})")
     out.append(f"- overall: {'PASS' if doc['pass'] else 'FAIL'}")
     for sec in doc["sections"]:
         out.extend(["", f"## {sec['title']}", ""])
@@ -423,7 +423,3 @@ def main(argv=None) -> int:
     except FloatingPointError as exc:
         print(f"error: float64 arithmetic failed: {exc}", file=_sys.stderr)
         return 2
-
-
-if __name__ == "__main__":
-    _sys.exit(main())

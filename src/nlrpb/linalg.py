@@ -93,20 +93,10 @@ def _as_array(value, name: str, ndim: int) -> np.ndarray:
     return _checked(np.array(value, dtype=float, order="C"), name, ndim)
 
 
-def as_matrix(value, name: str = "matrix") -> np.ndarray:
-    """Coerce ``value`` to a finite real 2-d float64 array (a copy)."""
-    return _as_array(value, name, 2)
-
-
-def as_vector(value, name: str = "vector") -> np.ndarray:
-    """Coerce ``value`` to a finite real 1-d float64 array (a copy)."""
-    return _as_array(value, name, 1)
-
-
 def as_square_pair(what: str, x, y, names: tuple) -> tuple:
     """Coerce two matrices (named ``names``) that must be square and of equal size."""
-    x = as_matrix(x, names[0])
-    y = as_matrix(y, names[1])
+    x = _as_array(x, names[0], 2)
+    y = _as_array(y, names[1], 2)
     if x.shape[0] != x.shape[1] or x.shape != y.shape:
         raise ValidationError(f"{what}: need square matrices of equal size, got {x.shape}/{y.shape}")
     return x, y
@@ -124,12 +114,14 @@ def frobenius_norm(x, axis=None):
     2-norms along that axis (``axis=1``: one per row).
 
     Bit for bit ``np.linalg.norm(x, axis=axis)`` whenever the sum of squares
-    is finite.  Where it overflows, the norm is max|x| ||x / max|x|||, which
-    stays finite for entries near the float64 range when the norm itself is
-    representable.  The overflow is seen as an infinite sum, or as the
-    FloatingPointError that ``np.errstate(over="raise")`` makes of it (the
-    CLI's setting); numpy's default setting also warns of it.  An infinite
-    entry gives an infinite norm, as it does in numpy.
+    is finite.  Where it overflows, the norm is ``np.hypot.reduce``, numpy's
+    overflow-safe norm, which stays finite for entries near the float64 range
+    when the norm itself is representable; only those norms take it, so the
+    others keep numpy's bits.  The overflow is seen as an infinite sum, or as
+    the FloatingPointError that ``np.errstate(over="raise")`` makes of it (the
+    CLI's setting); numpy's default setting also warns of it.  Under that
+    setting a norm beyond the float64 range raises too.  An infinite entry
+    gives an infinite norm, as it does in numpy.
     """
     x = np.asarray(x, dtype=float)
     try:
@@ -140,11 +132,7 @@ def frobenius_norm(x, axis=None):
         pass
     with np.errstate(over="ignore"):
         squares = _sum_of_squares(x, axis)
-    scale = np.maximum(np.abs(x).max(axis=axis, keepdims=True), _TINY)
-    with np.errstate(invalid="ignore"):  # inf / inf where an entry is infinite
-        scaled = scale * np.sqrt(np.add.reduce((x / scale) ** 2, axis=axis, keepdims=True))
-    scaled = np.where(np.isinf(scale), np.inf, scaled)
-    return np.where(np.isinf(squares), scaled.reshape(np.shape(squares)), np.sqrt(squares))
+    return np.where(np.isinf(squares), np.hypot.reduce(x, axis=axis), np.sqrt(squares))
 
 
 def residual_norm(a, b) -> float:

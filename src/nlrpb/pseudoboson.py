@@ -49,7 +49,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ValidationError
-from .linalg import _TINY, _checked, as_square_pair, as_vector, effective_tolerance, freeze, frobenius_norm, residual_norm, spd_deficit, symmetric_part_eigenvalues
+from .linalg import _TINY, _as_array, _checked, as_square_pair, effective_tolerance, freeze, frobenius_norm, residual_norm, spd_deficit, symmetric_part_eigenvalues
 from .report import Check, VerificationReport, raise_first_failure
 
 __all__ = [
@@ -100,7 +100,7 @@ class BiorthogonalSystem:
     n: int = field(init=False)
 
     def __post_init__(self):
-        eps = as_vector(self.eps, "eps")
+        eps = _as_array(self.eps, "eps", 1)
         phi, eta = as_square_pair("system", self.phi, self.eta, ("phi", "eta"))
         if eps.shape[0] != phi.shape[0]:
             raise ValidationError(f"system: eps has {eps.shape[0]} entries, bases {phi.shape}")
@@ -307,7 +307,7 @@ def rescale(sys: BiorthogonalSystem, nu) -> BiorthogonalSystem:
     Biorthonormality and sum_n eps[n] |phi_n><eta_n| are preserved; the
     frame operators change unless nu is constant 1.
     """
-    nu = as_vector(nu, "nu")
+    nu = _as_array(nu, "nu", 1)
     if nu.shape[0] != sys.n:
         raise ValidationError(f"rescale: need {sys.n} factors, got {nu.shape[0]}")
     if np.any(nu <= 0.0):

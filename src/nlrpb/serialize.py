@@ -47,9 +47,7 @@ all-int N=8 or N=64 system, which nlrpb never writes, in 79 us or 3.0 ms.
 
 orjson reads strict JSON, so some input fails at parsing that the stdlib
 ``json`` module parsed: NaN and Infinity literals, numbers beyond the
-float64 range and lone surrogate escapes such as ``\\ud800``.  The schema
-rejected these only in a field it reads; in any other field, such as an
-unknown key, they now make the file malformed too.  Integer literals
+float64 range and lone surrogate escapes such as ``\\ud800``.  Integer literals
 beyond 64 bits are read as floats, which the float entries become anyway
 and which ``n``, ``rows`` and ``cols`` reject.
 

@@ -1263,6 +1263,7 @@ class TestPaperTablesCommand:
         assert rc == 0
         assert out.startswith("# nlrpb paper-tables n2")
         assert "| check | residual | tolerance | pass |" in out
+        assert "\n- tolerance: null (source: default)\n" in out
 
     def test_csv_format(self, capsys):
         rc = main(["paper-tables", "n3", "--format", "csv"])

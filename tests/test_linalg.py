@@ -13,8 +13,7 @@ from nlrpb.errors import ConvergenceError, ValidationError
 from nlrpb.linalg import (
     SPD_GATE,
     SymEig,
-    as_matrix,
-    as_vector,
+    _as_array,
     default_tolerance,
     frobenius_norm,
     jacobi_eigh,
@@ -78,25 +77,25 @@ class TestDefaultTolerance:
 class TestCoercions:
     def test_as_matrix_copies(self):
         src = np.ones((2, 2))
-        out = as_matrix(src)
+        out = _as_array(src, "matrix", 2)
         out[0, 0] = 5.0
         assert src[0, 0] == 1.0
 
     def test_as_matrix_rejects_vector(self):
         with pytest.raises(ValidationError):
-            as_matrix([1.0, 2.0])
+            _as_array([1.0, 2.0], "matrix", 2)
 
     def test_as_matrix_rejects_nan(self):
         with pytest.raises(ValidationError):
-            as_matrix([[1.0, float("nan")], [0.0, 1.0]])
+            _as_array([[1.0, float("nan")], [0.0, 1.0]], "matrix", 2)
 
     def test_as_vector_rejects_matrix(self):
         with pytest.raises(ValidationError):
-            as_vector([[1.0], [2.0]])
+            _as_array([[1.0], [2.0]], "vector", 1)
 
     def test_as_vector_rejects_inf(self):
         with pytest.raises(ValidationError):
-            as_vector([1.0, float("inf")])
+            _as_array([1.0, float("inf")], "vector", 1)
 
 
 class TestResidualNorm:
@@ -147,6 +146,40 @@ class TestFrobeniusNorm:
             assert frobenius_norm(x) == math.inf
             assert frobenius_norm(x, axis=1).tolist() == [math.inf, math.sqrt(5.0)]
             assert frobenius_norm(x, axis=1).tobytes() == np.linalg.norm(x, axis=1).tobytes()
+
+    # Magnitudes from 1e-150 (squares stay normal, so the sum keeps its
+    # precision) to 1e300 (squares overflow), and a few entries whose norm
+    # is beyond the float64 range.
+    _RANGE = st.floats(1e-150, 1e300) | st.sampled_from([1e308, 1.7e308])
+
+    @given(
+        hnp.arrays(
+            np.float64,
+            hnp.array_shapes(min_dims=1, max_dims=2, max_side=6),
+            elements=st.just(0.0) | _RANGE | _RANGE.map(lambda v: -v),
+        ),
+        st.booleans(),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_overflow_range_within_n_ulp_of_hypot(self, x, transpose):
+        x = x.T if transpose else x  # a transposed 2-d view is Fortran-ordered
+        rows = np.atleast_2d(x)
+        expected = [math.hypot(*row) for row in rows]
+        with np.errstate(over="raise", invalid="raise", divide="raise"):  # the CLI's setting
+            if not all(map(math.isfinite, expected)):
+                with pytest.raises(FloatingPointError):
+                    frobenius_norm(x, axis=-1)
+                return
+            got = np.atleast_1d(frobenius_norm(x, axis=-1))
+        for norm, want in zip(got.tolist(), expected):
+            assert abs(norm - want) <= rows.shape[1] * math.ulp(want)
+
+    def test_rescue_only_where_the_squares_overflow(self):
+        x = np.array([[1e200, 1e200, 0.0], [1.0, 1.0, 1.0]])
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            rows = frobenius_norm(x, axis=1)
+        assert rows[0] == pytest.approx(math.sqrt(2.0) * 1e200, rel=1e-15)
+        assert rows[1].hex() == np.linalg.norm([1.0, 1.0, 1.0]).hex() == "0x1.bb67ae8584caap+0"
 
     def test_unrepresentable_norm_overflows(self):
         with np.errstate(over="raise"), pytest.raises(FloatingPointError):
