@@ -12,7 +12,8 @@ representations convert into each other:
 * ``from_nlrpb``: a system gives back H = b a and Theta = S_eta.
 
 ``nlrpb_roundtrip`` and ``crypto_roundtrip`` convert, convert back and
-report how much of the start survived, at ROUNDTRIP_TOL by default.
+report how much of the start survived.  The checkers here measure, and
+``report.judge`` sets each check's tolerance by its rule in the table there.
 
 ``hermitized_checks`` is the one home of the pair's rules: on a validated
 ``CryptoPair`` it reports ``verify_chwrt``'s checks and, when those pass,
@@ -38,7 +39,6 @@ from .linalg import (
     _eigh,
     _spd_root,
     as_square_pair,
-    effective_tolerance,
     freeze,
     frobenius_norm,
     residual_norm,
@@ -49,12 +49,11 @@ from .linalg import (
     symmetric_part_eigenvalues,
 )
 from .pseudoboson import MIN_EPS_GAP, BiorthogonalSystem, build_ladders, build_system, gap_deficit
-from .report import Check, VerificationReport, raise_first_failure
+from .report import ROUNDTRIP_TOL, VerificationReport, judge, raise_first_failure  # noqa: F401  (ROUNDTRIP_TOL is importable here too)
 
 __all__ = [
     "CryptoPair",
     "HermitizedSystem",
-    "ROUNDTRIP_TOL",
     "crypto_roundtrip",
     "from_crypto",
     "from_nlrpb",
@@ -63,8 +62,6 @@ __all__ = [
     "nlrpb_roundtrip",
     "verify_chwrt",
 ]
-
-ROUNDTRIP_TOL = 1e-9
 
 _HERMITIZE_FAILURES = {
     "cryptohermiticity": "pair is not cryptohermitian",
@@ -114,22 +111,21 @@ def _chwrt_checks(pair: CryptoPair, tolerance) -> tuple:
     """(``verify_chwrt``'s two checks, Theta's symmetric split) for a validated pair:
     the split is what the metric's values solve ran on, and the SPD roots reuse it."""
     h, t = pair.h_matrix, pair.theta
-    tol = effective_tolerance(h.shape[0], tolerance)
     lam, asymmetry, t_sym = symmetric_part_eigenvalues(t)
     metric_residual = max(0.0, asymmetry, spd_deficit(lam))
     th = t @ h
     # float64 division, so an overflow raises under the CLI's errstate
     crypto_residual = residual_norm(th, h.T @ t) / np.maximum(frobenius_norm(th), _TINY)
-    return (Check("cryptohermiticity", crypto_residual, tol), Check("metric_spd", metric_residual, 0.0)), t_sym
+    return judge(h.shape[0], tolerance, cryptohermiticity=crypto_residual, metric_spd=metric_residual), t_sym
 
 
 def verify_chwrt(h_matrix, theta, tolerance=None) -> VerificationReport:
     """Report on Theta being SPD and on the residual Theta H - H^T Theta.
 
     The cryptohermiticity residual is relative to ||Theta H||_F; the
-    metric entry is a positive-definiteness deficit with tolerance 0.
+    metric entry is a positive-definiteness deficit, judged at tolerance 0.
     """
-    return VerificationReport(_chwrt_checks(CryptoPair(h_matrix, theta), tolerance)[0])
+    return VerificationReport(tuple(_chwrt_checks(CryptoPair(h_matrix, theta), tolerance)[0]))
 
 
 def hermitized_checks(pair: CryptoPair, tolerance=None):
@@ -141,9 +137,8 @@ def hermitized_checks(pair: CryptoPair, tolerance=None):
     ``verify_chwrt`` fails; it is returned even when a later check fails,
     so a report can show the spectrum it judged.
     """
-    first, t_sym = _chwrt_checks(pair, tolerance)
-    checks = list(first)
-    if not all(c.passed for c in first):
+    checks, t_sym = _chwrt_checks(pair, tolerance)
+    if not all(c.passed for c in checks):
         return checks, None
     # t_sym passed metric_spd, and symmetric_part(raw) is finite (residual_norm rejects
     # a non-finite raw) and exactly symmetric: both pass the solvers' input rule already
@@ -154,8 +149,7 @@ def hermitized_checks(pair: CryptoPair, tolerance=None):
     sym = symmetric_part(raw)
     eig = _eigh(sym)
     lam = eig.eigenvalues
-    checks.append(Check("hermitized_symmetry", asym, effective_tolerance(n, tolerance)))
-    checks.append(Check("spectrum_min_gap", gap_deficit(lam), 0.0))
+    checks += judge(n, tolerance, hermitized_symmetry=asym, spectrum_min_gap=gap_deficit(lam))
     shift = float(lam[0])
     # C order: from_crypto's e @ root rounds differently on the transposed view at some N
     return checks, HermitizedSystem(sym - shift * np.eye(n), shift, lam - shift, eig.eigenvectors.T.copy())
@@ -208,30 +202,20 @@ def _line_cosine_defect(sys_a: BiorthogonalSystem, sys_b: BiorthogonalSystem) ->
 def nlrpb_roundtrip(sys: BiorthogonalSystem, tolerance=None):
     """(CryptoPair, checks): ``from_nlrpb(sys)``, then ``eps_roundtrip`` and
     ``eigenline_cosines`` of the system ``from_crypto`` rebuilds from it."""
-    rt_tol = ROUNDTRIP_TOL if tolerance is None else tolerance
     pair = from_nlrpb(sys, tolerance)
     back, _ = from_crypto(pair.h_matrix, pair.theta, tolerance)
     eps_defect = float(np.abs(back.eps - sys.eps).max())
-    checks = [
-        Check("eps_roundtrip", eps_defect, rt_tol),
-        Check("eigenline_cosines", _line_cosine_defect(sys, back), rt_tol),
-    ]
-    return pair, checks
+    return pair, judge(sys.n, tolerance, eps_roundtrip=eps_defect, eigenline_cosines=_line_cosine_defect(sys, back))
 
 
 def crypto_roundtrip(pair: CryptoPair, tolerance=None):
     """(system, shift, checks): ``from_crypto(pair)``, then ``h_roundtrip``
     (against H - shift I, relative to max(||H||, 1)) and ``theta_roundtrip``
     (relative to ||Theta||) of the pair ``from_nlrpb`` rebuilds from it."""
-    rt_tol = ROUNDTRIP_TOL if tolerance is None else tolerance
     h, t = pair.h_matrix, pair.theta
     sys, _ = from_crypto(h, t, tolerance)
     hs = hermitize(h, t, tolerance)
     back = from_nlrpb(sys, tolerance)
     h_defect = residual_norm(back.h_matrix, h - hs.shift * np.eye(sys.n)) / max(float(frobenius_norm(h)), 1.0)
     t_defect = residual_norm(back.theta, t) / max(float(frobenius_norm(t)), _TINY)
-    checks = [
-        Check("h_roundtrip", h_defect, rt_tol),
-        Check("theta_roundtrip", t_defect, rt_tol),
-    ]
-    return sys, hs.shift, checks
+    return sys, hs.shift, judge(sys.n, tolerance, h_roundtrip=h_defect, theta_roundtrip=t_defect)

@@ -66,11 +66,6 @@ def default_tolerance(n: int) -> float:
     return n * 1e-12
 
 
-def effective_tolerance(n: int, tolerance=None) -> float:
-    """``tolerance`` when given, else ``default_tolerance(n)``."""
-    return default_tolerance(n) if tolerance is None else float(tolerance)
-
-
 def freeze(obj, **fields) -> None:
     """Set ``fields`` on a frozen dataclass instance; array values become read-only."""
     for name, value in fields.items():

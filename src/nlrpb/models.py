@@ -38,9 +38,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ValidationError
-from .linalg import _TINY, effective_tolerance, freeze
+from .linalg import _TINY, freeze
 from .pseudoboson import BiorthogonalSystem, build_system
-from .report import Check
+from .report import Check, judge
 
 __all__ = [
     "ChebyshevSpec",
@@ -158,7 +158,7 @@ def stored_params_check(family: str, params: dict, sys: BiorthogonalSystem, tole
         if spec is not None and spec.n == sys.n:
             ref = spec.eps
             residual = float(np.abs(sys.eps - ref).max() / max(float(ref[-1]), _TINY))
-    return Check("stored_params", residual, effective_tolerance(sys.n, tolerance))
+    return judge(sys.n, tolerance, stored_params=residual)[0]
 
 
 def two_param_model(beta, delta):

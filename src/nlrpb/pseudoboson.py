@@ -23,16 +23,15 @@ The truncation closes the ladder at the top: ``b`` annihilates
 ``phi[N-1]``, so ladder and commutator identities hold for levels
 n <= N-2 only, and ``commutator_defect`` rejects the top level.
 
-Each rule on the data is one function returning a ``Check``:
-``eps_structure_check`` (eps[0] = 0 within 1e-12, every gap at least
-MIN_EPS_GAP), ``biorthonormality_check``, ``eigen_check`` (phi and eta
-as right and left eigenvectors of a given operator),
-``commutator_check`` and ``stored_metrics_check`` (stored frame
-operators against the bases).  ``system_checks`` is the one verdict on
-a system: its ``eps_structure`` gate decides whether the axiom,
-commutator and eigen checks run or only ``biorthonormality_check``.
-``build_system`` raises on the first two, and reports call the same
-functions, so a builder and a report cannot disagree on a verdict.
+The checkers here measure and ``report.judge`` sets each check's tolerance
+by its name: ``eps_structure`` (eps[0] = 0 within 1e-12, every gap at least
+MIN_EPS_GAP), ``p3_biorthonormality``, the axioms', ``commutator_gaps``,
+``eigen_relations`` (phi and eta as right and left eigenvectors of a given
+operator) and ``stored_metrics`` (stored frame operators against the bases).
+``system_checks`` is the one verdict on a system: its ``eps_structure`` gate
+decides whether the axiom, commutator and eigen checks run or only
+``p3_biorthonormality``.  ``build_system`` raises on the first two, judged
+the same way, so a builder and a report cannot disagree on a verdict.
 
 The residuals take as few passes as give the bits of one relation at a
 time: row norms once per system, one norm pass for the four p3 ladder
@@ -49,22 +48,18 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ValidationError
-from .linalg import _TINY, _as_array, _checked, as_square_pair, effective_tolerance, freeze, frobenius_norm, residual_norm, spd_deficit, symmetric_part_eigenvalues
-from .report import Check, VerificationReport, raise_first_failure
+from .linalg import _TINY, _as_array, _checked, as_square_pair, freeze, frobenius_norm, residual_norm, spd_deficit, symmetric_part_eigenvalues
+from .report import Check, VerificationReport, judge, raise_first_failure
 
 __all__ = [
     "MIN_EPS_GAP",
     "BiorthogonalSystem",
     "LadderPair",
     "MetricPair",
-    "biorthonormality_check",
     "build_ladders",
     "build_metrics",
     "build_system",
-    "commutator_check",
     "commutator_defect",
-    "eigen_check",
-    "eps_structure_check",
     "rescale",
     "stored_metrics_check",
     "system_checks",
@@ -143,26 +138,24 @@ def gap_deficit(values) -> float:
     return max(0.0, MIN_EPS_GAP - float((values[1:] - values[:-1]).min()))
 
 
-def eps_structure_check(sys: BiorthogonalSystem) -> Check:
-    """``eps_structure``: |eps[0]| <= 1e-12 and every gap >= MIN_EPS_GAP (tolerance 0)."""
-    deficit = max(0.0, abs(float(sys.eps[0])) - _EPS0_TOL, gap_deficit(sys.eps))
-    return Check("eps_structure", deficit, 0.0)
+def _eps_structure(sys: BiorthogonalSystem) -> float:
+    """``eps_structure``'s deficit: how far |eps[0]| exceeds 1e-12 or a gap falls below MIN_EPS_GAP."""
+    return max(0.0, abs(float(sys.eps[0])) - _EPS0_TOL, gap_deficit(sys.eps))
 
 
-def biorthonormality_check(sys: BiorthogonalSystem, tolerance=None) -> Check:
+def _biorthonormality(sys: BiorthogonalSystem) -> float:
     """``p3_biorthonormality``: max |<phi_n, eta_m> - delta_nm|."""
-    dev = float(np.abs(sys.phi @ sys.eta.T - np.eye(sys.n)).max())
-    return Check("p3_biorthonormality", dev, effective_tolerance(sys.n, tolerance))
+    return float(np.abs(sys.phi @ sys.eta.T - np.eye(sys.n)).max())
 
 
 def build_system(phi, eta, eps, tolerance=None) -> BiorthogonalSystem:
     """Validate and freeze a biorthogonal system.
 
-    Raises unless ``eps_structure_check`` and ``biorthonormality_check``
-    pass (tolerance default_tolerance(N) when not given).
+    Raises unless ``eps_structure`` and ``p3_biorthonormality`` pass, as
+    ``report.judge`` judges them at ``tolerance``.
     """
     sys = BiorthogonalSystem(eps, phi, eta)
-    checks = (eps_structure_check(sys), biorthonormality_check(sys, tolerance))
+    checks = judge(sys.n, tolerance, eps_structure=_eps_structure(sys), p3_biorthonormality=_biorthonormality(sys))
     raise_first_failure("build_system", checks, _BUILD_FAILURES)
     return sys
 
@@ -188,13 +181,12 @@ def verify_axioms(sys: BiorthogonalSystem, ladders: LadderPair, tolerance=None) 
     """Residual report for the five axioms (see module docstring).
 
     Ladder residuals are relative to the norms of the vectors acted on;
-    the frame-bound entry is a positive-definiteness deficit with
-    tolerance 0, independent of the residual tolerance.
+    the frame-bound entry is a positive-definiteness deficit, which
+    ``report.judge`` holds to tolerance 0 whatever ``tolerance`` is.
     """
     n = sys.n
     if ladders.a.shape != (n, n):
         raise ValidationError(f"verify_axioms: ladder shape {ladders.a.shape} does not match n = {n}")
-    tol = effective_tolerance(n, tolerance)
     phi, eta, eps = sys.phi, sys.eta, sys.eps
     a, b = ladders.a, ladders.b
     nphi, neta = sys._row_norms
@@ -219,16 +211,18 @@ def verify_axioms(sys: BiorthogonalSystem, ladders: LadderPair, tolerance=None) 
     deficit = max(spd_deficit(symmetric_part_eigenvalues(s)[0]) for s in (s_phi, s_eta))
     eye = np.eye(n)
 
-    checks = (
-        Check("p1_vacuum_phi", p1, tol),
-        Check("p2_vacuum_eta", p2, tol),
-        biorthonormality_check(sys, tol),
-        Check("p3_ladder_relations", ladder, tol),
-        Check("p4_resolution_of_identity", float(frobenius_norm(phi.T @ eta - eye)), tol),
-        Check("p5_frame_bounds", deficit, 0.0),
-        Check("p5_metric_duality", float(frobenius_norm(s_phi @ s_eta - eye)), tol),
+    checks = judge(
+        n,
+        tolerance,
+        p1_vacuum_phi=p1,
+        p2_vacuum_eta=p2,
+        p3_biorthonormality=_biorthonormality(sys),
+        p3_ladder_relations=ladder,
+        p4_resolution_of_identity=float(frobenius_norm(phi.T @ eta - eye)),
+        p5_frame_bounds=deficit,
+        p5_metric_duality=float(frobenius_norm(s_phi @ s_eta - eye)),
     )
-    return VerificationReport(checks)
+    return VerificationReport(tuple(checks))
 
 
 def commutator_defect(sys: BiorthogonalSystem, ladders: LadderPair, n: int | np.ndarray) -> float | np.ndarray:
@@ -256,26 +250,21 @@ def commutator_defect(sys: BiorthogonalSystem, ladders: LadderPair, n: int | np.
     return defects if levels.ndim else float(defects)
 
 
-def commutator_check(sys: BiorthogonalSystem, ladders: LadderPair, tolerance=None) -> Check:
-    """``commutator_gaps``: the worst ``commutator_defect`` over levels 0..N-2 (0.0 when N = 1)."""
-    worst = commutator_defect(sys, ladders, np.arange(sys.n - 1)).max(initial=0.0)
-    return Check("commutator_gaps", worst, effective_tolerance(sys.n, tolerance))
-
-
 def system_checks(sys: BiorthogonalSystem, ladders: LadderPair | None = None, m=None, tolerance=None) -> list:
-    """``eps_structure_check``, then ``verify_axioms``'s checks, ``commutator_check``
-    and, when ``m`` is known, ``eigen_check``; when the gate fails, sqrt(eps) means
-    nothing and only ``biorthonormality_check`` follows.  ``ladders`` default to
-    ``build_ladders(sys)``."""
-    gate = eps_structure_check(sys)
-    if not gate.passed:
-        return [gate, biorthonormality_check(sys, tolerance)]
+    """``eps_structure``, then ``verify_axioms``'s checks, ``commutator_gaps`` (the
+    worst ``commutator_defect`` over levels 0..N-2, 0.0 when N = 1) and, when ``m`` is
+    known, ``eigen_relations``; when the gate fails, sqrt(eps) means nothing and only
+    ``p3_biorthonormality`` follows.  ``ladders`` default to ``build_ladders(sys)``."""
+    checks = judge(sys.n, tolerance, eps_structure=_eps_structure(sys))
+    if not checks[0].passed:
+        return checks + judge(sys.n, tolerance, p3_biorthonormality=_biorthonormality(sys))
     if ladders is None:
         ladders = build_ladders(sys)
-    checks = [gate, *verify_axioms(sys, ladders, tolerance).checks, commutator_check(sys, ladders, tolerance)]
+    checks += verify_axioms(sys, ladders, tolerance).checks
+    residuals = {"commutator_gaps": commutator_defect(sys, ladders, np.arange(sys.n - 1)).max(initial=0.0)}
     if m is not None:
-        checks.append(eigen_check(sys, m, tolerance))
-    return checks
+        residuals["eigen_relations"] = _eigen_relations(sys, m)
+    return checks + judge(sys.n, tolerance, **residuals)
 
 
 def stored_metrics_check(sys: BiorthogonalSystem, s_phi, s_eta, tolerance=None) -> Check:
@@ -287,18 +276,17 @@ def stored_metrics_check(sys: BiorthogonalSystem, s_phi, s_eta, tolerance=None) 
         residual_norm(stored, computed) / np.maximum(frobenius_norm(computed), _TINY)
         for stored, computed in ((s_phi, metrics.s_phi), (s_eta, metrics.s_eta))
     )
-    return Check("stored_metrics", worst, effective_tolerance(sys.n, tolerance))
+    return judge(sys.n, tolerance, stored_metrics=worst)[0]
 
 
-def eigen_check(sys: BiorthogonalSystem, m, tolerance=None) -> Check:
+def _eigen_relations(sys: BiorthogonalSystem, m) -> float:
     """``eigen_relations``: m phi_n = eps[n] phi_n and m^T eta_n = eps[n] eta_n,
     relative to the norms of the vectors."""
     eps = sys.eps[:, None]
     nphi, neta = sys._row_norms
     left = frobenius_norm(sys.phi @ m.T - eps * sys.phi, axis=1) / nphi
     right = frobenius_norm(sys.eta @ m - eps * sys.eta, axis=1) / neta
-    worst = max(float(left.max()), float(right.max()))
-    return Check("eigen_relations", worst, effective_tolerance(sys.n, tolerance))
+    return max(float(left.max()), float(right.max()))
 
 
 def rescale(sys: BiorthogonalSystem, nu) -> BiorthogonalSystem:

@@ -1,4 +1,11 @@
-"""Named residual checks with tolerances and verdicts."""
+"""Named residual checks, the one table of their tolerance rules, and verdicts.
+
+Checkers measure residuals; ``judge`` turns them into ``Check``s at the
+tolerance that ``TOLERANCE_RULES`` gives each check name: "zero" for the
+structural gates (deficits, held to 0 whatever tolerance is given),
+"roundtrip" (ROUNDTRIP_TOL unless a tolerance is given) and, for every
+other name, "flat" (``default_tolerance(n)`` unless a tolerance is given).
+"""
 
 from __future__ import annotations
 
@@ -6,8 +13,18 @@ import math
 from dataclasses import dataclass, field
 
 from .errors import ValidationError
+from .linalg import default_tolerance
 
-__all__ = ["Check", "VerificationReport"]
+__all__ = ["Check", "ROUNDTRIP_TOL", "VerificationReport", "judge"]
+
+#: Default tolerance of the round-trip checks of ``convert``.
+ROUNDTRIP_TOL = 1e-9
+
+#: Each check's tolerance rule, by check name; a name not listed is "flat".
+TOLERANCE_RULES = {
+    **dict.fromkeys(("eps_structure", "metric_spd", "p5_frame_bounds", "spectrum_min_gap"), "zero"),
+    **dict.fromkeys(("eps_roundtrip", "eigenline_cosines", "h_roundtrip", "theta_roundtrip"), "roundtrip"),
+}
 
 
 @dataclass(frozen=True)
@@ -51,6 +68,21 @@ class VerificationReport:
             if c.name == name:
                 return c
         raise KeyError(name)
+
+
+def judge(n: int, tolerance, **residuals) -> list:
+    """One ``Check`` per named residual, in the order given, at the tolerance that the
+    name's rule sets for size ``n`` and the given ``tolerance`` (None for the defaults)."""
+    return [Check(name, residual, _tolerance(name, n, tolerance)) for name, residual in residuals.items()]
+
+
+def _tolerance(name: str, n: int, tolerance) -> float:
+    rule = TOLERANCE_RULES.get(name, "flat")
+    if rule == "zero":
+        return 0.0
+    if tolerance is not None:
+        return float(tolerance)
+    return ROUNDTRIP_TOL if rule == "roundtrip" else default_tolerance(n)
 
 
 def raise_first_failure(where: str, checks, reasons: dict) -> None:

@@ -21,7 +21,7 @@ from nlrpb.cryptoherm import (
 )
 from nlrpb.errors import ValidationError
 from nlrpb.linalg import (
-    effective_tolerance,
+    default_tolerance,
     frobenius_norm,
     jacobi_eigh,
     residual_norm,
@@ -220,7 +220,7 @@ def composed_hermitized_checks(h, t):
     sym = symmetric_part(raw)
     eig = jacobi_eigh(sym)
     lam = eig.eigenvalues
-    checks += [Check("hermitized_symmetry", asym, effective_tolerance(n)), Check("spectrum_min_gap", gap_deficit(lam), 0.0)]
+    checks += [Check("hermitized_symmetry", asym, default_tolerance(n)), Check("spectrum_min_gap", gap_deficit(lam), 0.0)]
     shift = float(lam[0])
     return checks, HermitizedSystem(sym - shift * np.eye(n), shift, lam - shift, eig.eigenvectors.T)
 
