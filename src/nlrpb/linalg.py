@@ -39,7 +39,6 @@ from .errors import ConvergenceError, ValidationError
 __all__ = [
     "SPD_GATE",
     "SymEig",
-    "default_tolerance",
     "jacobi_eigh",
     "residual_norm",
     "spd_deficit",
@@ -54,16 +53,6 @@ SPD_GATE = 1e-12
 _SYM_RTOL = 1e-12
 _SIGN_CUTOFF = 1e-12
 _TINY = 1e-300  # floor for norms used as divisors
-
-
-def default_tolerance(n: int) -> float:
-    """Default absolute residual tolerance for size-``n`` problems.
-
-    1e-10 up to n = 16, then ``n * 1e-12``: 1.7e-11 at 17, 6.4e-11 at 64, 1e-10 again at 100.
-    """
-    if n <= 16:
-        return 1e-10
-    return n * 1e-12
 
 
 def freeze(obj, **fields) -> None:
@@ -97,22 +86,15 @@ def as_square_pair(what: str, x, y, names: tuple) -> tuple:
     return x, y
 
 
-def _sum_of_squares(x: np.ndarray, axis):
-    if axis is None:
-        flat = x.ravel(order="K")  # np.linalg.norm's summation order
-        return flat.dot(flat)
-    return np.add.reduce(x * x, axis=axis)
-
-
 def frobenius_norm(x, axis=None):
     """Frobenius norm of ``x`` (the 2-norm for a vector); with ``axis``, the
     2-norms along that axis (``axis=1``: one per row).
 
-    Bit for bit ``np.linalg.norm(x, axis=axis)`` whenever the sum of squares
-    is finite.  Where it overflows, the norm is ``np.hypot.reduce``, numpy's
+    ``np.linalg.norm(x, axis=axis)`` wherever its sum of squares is finite.
+    Where that sum overflows, the norm is ``np.hypot.reduce``, numpy's
     overflow-safe norm, which stays finite for entries near the float64 range
     when the norm itself is representable; only those norms take it, so the
-    others keep numpy's bits.  The overflow is seen as an infinite sum, or as
+    others keep numpy's bits.  The overflow is seen as an infinite norm, or as
     the FloatingPointError that ``np.errstate(over="raise")`` makes of it (the
     CLI's setting); numpy's default setting also warns of it.  Under that
     setting a norm beyond the float64 range raises too.  An infinite entry
@@ -120,14 +102,14 @@ def frobenius_norm(x, axis=None):
     """
     x = np.asarray(x, dtype=float)
     try:
-        squares = _sum_of_squares(x, axis)
-        if (squares if axis is None else squares.max(initial=0.0)) < math.inf:
-            return np.sqrt(squares)
+        norms = np.linalg.norm(x, axis=axis)
+        if (norms if axis is None else norms.max(initial=0.0)) < math.inf:
+            return norms
     except FloatingPointError:
         pass
     with np.errstate(over="ignore"):
-        squares = _sum_of_squares(x, axis)
-    return np.where(np.isinf(squares), np.hypot.reduce(x, axis=axis), np.sqrt(squares))
+        norms = np.linalg.norm(x, axis=axis)
+    return np.where(np.isinf(norms), np.hypot.reduce(x, axis=axis), norms)
 
 
 def residual_norm(a, b) -> float:

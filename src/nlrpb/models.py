@@ -180,17 +180,6 @@ def two_param_model(beta, delta):
     return a_mat, b_mat, sys
 
 
-def _chebyshev_rows(count: int, x: np.ndarray) -> np.ndarray:
-    """Rows (T_0(x_i), ..., T_{count-1}(x_i)) by the recurrence."""
-    rows = np.empty((x.shape[0], count))
-    rows[:, 0] = 1.0
-    if count > 1:
-        rows[:, 1] = x
-        for k in range(2, count):
-            rows[:, k] = 2.0 * x * rows[:, k - 1] - rows[:, k - 2]
-    return rows
-
-
 def chebyshev_model(n: int):
     """(M, system) for the Chebyshev family of size n >= 2."""
     spec = ChebyshevSpec(n)
@@ -200,7 +189,10 @@ def chebyshev_model(n: int):
     m = np.diag(np.full(n, z))
     m += np.diag(np.r_[2.0, np.ones(n - 2)], 1)
     m += np.diag(np.ones(n - 1), -1)
-    phi_raw = _chebyshev_rows(n, x)
+    # Rows (T_0(x_i), ..., T_{n-1}(x_i)), copied to C order: on chebvander's Fortran
+    # order phi_raw @ eta_raw.T rounds differently (the bases' last bits at N = 32..34).
+    # numpy.polynomial loads on first use, so only this builder pays for its import.
+    phi_raw = np.ascontiguousarray(np.polynomial.chebyshev.chebvander(x, n - 1))
     eta_raw = phi_raw.copy()
     eta_raw[:, 0] = 0.5
     # phi rows scaled by 1 / <phi_raw_n, eta_raw_n> (= 2/N); build_system's

@@ -132,10 +132,8 @@ class MetricPair:
 
 def gap_deficit(values) -> float:
     """How far the smallest gap between consecutive ``values`` falls below
-    MIN_EPS_GAP; 0.0 when every gap is admissible (or there is one value)."""
-    if len(values) < 2:
-        return 0.0
-    return max(0.0, MIN_EPS_GAP - float((values[1:] - values[:-1]).min()))
+    MIN_EPS_GAP; 0.0 when every gap is admissible (one value has no gap)."""
+    return max(0.0, MIN_EPS_GAP - float(np.diff(values).min(initial=np.inf)))
 
 
 def _eps_structure(sys: BiorthogonalSystem) -> float:
@@ -195,16 +193,15 @@ def verify_axioms(sys: BiorthogonalSystem, ladders: LadderPair, tolerance=None) 
     p1 = float(frobenius_norm(a @ phi[0]) / nphi[0])
     p2 = float(frobenius_norm(b.T @ eta[0]) / neta[0])
 
-    ladder = 0.0
-    if n > 1:
-        # Row n of phi a^T is a phi_n, of eta a is a^T eta_n: a lowers phi_n for
-        # n >= 1, b raises it for n <= N-2, the transposes act dually on eta.
-        # Full products are sliced: products of slices round differently.
-        lhs = np.concatenate(((phi @ a.T)[1:], (phi @ b.T)[:-1], (eta @ a)[:-1], (eta @ b)[1:]))
-        rhs = np.concatenate((phi[:-1], phi[1:], eta[1:], eta[:-1]))
-        r = np.concatenate((root[1:],) * 4)[:, None]
-        norms = np.concatenate((nphi[1:], nphi[:-1], neta[:-1], neta[1:]))
-        ladder = float((frobenius_norm(lhs - r * rhs, axis=1) / norms).max())
+    # Row n of phi a^T is a phi_n, of eta a is a^T eta_n: a lowers phi_n for
+    # n >= 1, b raises it for n <= N-2, the transposes act dually on eta.
+    # Full products are sliced: products of slices round differently.  At N = 1
+    # every slice is empty and the residual is 0.0.
+    lhs = np.concatenate(((phi @ a.T)[1:], (phi @ b.T)[:-1], (eta @ a)[:-1], (eta @ b)[1:]))
+    rhs = np.concatenate((phi[:-1], phi[1:], eta[1:], eta[:-1]))
+    r = np.concatenate((root[1:],) * 4)[:, None]
+    norms = np.concatenate((nphi[1:], nphi[:-1], neta[:-1], neta[1:]))
+    ladder = float((frobenius_norm(lhs - r * rhs, axis=1) / norms).max(initial=0.0))
 
     metrics = build_metrics(sys)
     s_phi, s_eta = metrics.s_phi, metrics.s_eta

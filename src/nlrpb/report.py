@@ -1,4 +1,4 @@
-"""Named residual checks, the one table of their tolerance rules, and verdicts.
+"""Named residual checks, the whole tolerance policy (defaults and rules), and verdicts.
 
 Checkers measure residuals; ``judge`` turns them into ``Check``s at the
 tolerance that ``TOLERANCE_RULES`` gives each check name: "zero" for the
@@ -13,12 +13,22 @@ import math
 from dataclasses import dataclass, field
 
 from .errors import ValidationError
-from .linalg import default_tolerance
 
-__all__ = ["Check", "ROUNDTRIP_TOL", "VerificationReport", "judge"]
+__all__ = ["Check", "ROUNDTRIP_TOL", "VerificationReport", "default_tolerance", "judge"]
 
 #: Default tolerance of the round-trip checks of ``convert``.
 ROUNDTRIP_TOL = 1e-9
+
+
+def default_tolerance(n: int) -> float:
+    """Default absolute residual tolerance of the "flat" rule for size-``n`` problems.
+
+    1e-10 up to n = 16, then ``n * 1e-12``: 1.7e-11 at 17, 6.4e-11 at 64, 1e-10 again at 100.
+    """
+    if n <= 16:
+        return 1e-10
+    return n * 1e-12
+
 
 #: Each check's tolerance rule, by check name; a name not listed is "flat".
 TOLERANCE_RULES = {

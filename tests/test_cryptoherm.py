@@ -21,7 +21,6 @@ from nlrpb.cryptoherm import (
 )
 from nlrpb.errors import ValidationError
 from nlrpb.linalg import (
-    default_tolerance,
     frobenius_norm,
     jacobi_eigh,
     residual_norm,
@@ -33,7 +32,7 @@ from nlrpb.linalg import (
 )
 from nlrpb.models import chebyshev_model, chebyshev_paper_normalization, two_param_model
 from nlrpb.pseudoboson import build_metrics, build_system, gap_deficit, rescale
-from nlrpb.report import Check
+from nlrpb.report import Check, default_tolerance
 
 
 S3 = math.sqrt(3.0)

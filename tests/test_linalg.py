@@ -14,7 +14,6 @@ from nlrpb.linalg import (
     SPD_GATE,
     SymEig,
     _as_array,
-    default_tolerance,
     frobenius_norm,
     jacobi_eigh,
     residual_norm,
@@ -27,6 +26,7 @@ from nlrpb.linalg import (
 )
 from nlrpb.models import chebyshev_model
 from nlrpb.pseudoboson import build_metrics, rescale
+from nlrpb.report import default_tolerance
 
 
 def random_symmetric(n, seed):

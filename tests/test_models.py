@@ -12,7 +12,6 @@ from nlrpb.models import (
     ChebyshevSpec,
     TwoParamSpec,
     _chebyshev_nodes,
-    _chebyshev_rows,
     chebyshev_model,
     chebyshev_paper_normalization,
     stored_params_check,
@@ -26,11 +25,23 @@ def cheb_t(k, x):
     return np.polynomial.chebyshev.Chebyshev.basis(k)(x)
 
 
+def reference_rows(count, x):
+    """Rows (T_0(x_i), ..., T_{count-1}(x_i)) by the three-term recurrence, C-ordered:
+    the reference for the rows ``chebyshev_model`` builds its bases from."""
+    rows = np.empty((x.shape[0], count))
+    rows[:, 0] = 1.0
+    if count > 1:
+        rows[:, 1] = x
+        for k in range(2, count):
+            rows[:, k] = 2.0 * x * rows[:, k - 1] - rows[:, k - 2]
+    return rows
+
+
 class TestChebyshevT:
     """The three-term recurrence behind the Chebyshev family's rows."""
 
     def test_base_cases(self):
-        rows = _chebyshev_rows(4, np.array([0.3, 0.5, 2.0]))
+        rows = reference_rows(4, np.array([0.3, 0.5, 2.0]))
         assert rows[0, 0] == 1.0
         assert rows[0, 1] == 0.3
         assert rows[1, 2] == pytest.approx(-0.5)
@@ -42,8 +53,19 @@ class TestChebyshevT:
         st.floats(min_value=-1.0, max_value=1.0, allow_nan=False),
     )
     def test_cosine_identity_on_unit_interval(self, k, x):
-        t_k = _chebyshev_rows(k + 1, np.array([x]))[0, k]
+        t_k = reference_rows(k + 1, np.array([x]))[0, k]
         assert abs(t_k - math.cos(k * math.acos(x))) < 1e-8
+
+    @pytest.mark.parametrize("n", range(2, 65))
+    def test_model_bases_are_the_recurrence_bit_for_bit(self, n):
+        # The product phi_raw @ eta_raw.T that normalizes phi rounds differently
+        # on a Fortran-ordered phi_raw (at N = 32..34), so this also pins the layout.
+        phi_raw = reference_rows(n, _chebyshev_nodes(n))
+        eta_raw = phi_raw.copy()
+        eta_raw[:, 0] = 0.5
+        _, system = chebyshev_model(n)
+        assert system.phi.tobytes() == (phi_raw / np.diag(phi_raw @ eta_raw.T)[:, None]).tobytes()
+        assert system.eta.tobytes() == eta_raw.tobytes()
 
 
 class TestChebyshevNodes:
