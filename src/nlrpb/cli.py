@@ -37,7 +37,7 @@ import numpy as np
 from . import serialize
 from .cryptoherm import crypto_roundtrip, hermitize, hermitized_checks, nlrpb_roundtrip
 from .errors import ConvergenceError, SchemaError, ValidationError
-from .linalg import jacobi_eigh, symmetric_part_eigenvalues
+from .linalg import jacobi_eigh
 from .models import _FAMILIES, chebyshev_model, chebyshev_paper_normalization, stored_params_check, two_param_model
 from .pseudoboson import LadderPair, build_ladders, build_metrics, build_system, stored_metrics_check, system_checks
 from .report import Check
@@ -164,10 +164,10 @@ def resolve_tolerance(args):
     return {"value": value, "source": source}, value
 
 
-def _metric_scalars(s_eta) -> dict:
-    """Extreme eigenvalues of S_eta and their ratio; the ratio is None (null)
-    when lambda_min <= 0 or the ratio is beyond float64."""
-    lam_min, lam_max = (float(v) for v in symmetric_part_eigenvalues(s_eta)[0][[0, -1]])
+def _metric_scalars(eigenvalues) -> dict:
+    """Extreme values of S_eta's ascending ``eigenvalues`` and their ratio; the
+    ratio is None (null) when lambda_min <= 0 or the ratio is beyond float64."""
+    lam_min, lam_max = float(eigenvalues[0]), float(eigenvalues[-1])
     # Python float division: an overflow gives inf, not an exception
     cond = lam_max / lam_min if lam_min > 0.0 else math.inf
     return scalars_section(
@@ -199,7 +199,7 @@ def _cmd_model(args) -> int:
 
     sections = [
         spectrum_section("spectrum", system.eps),
-        _metric_scalars(build_metrics(system).s_eta),
+        _metric_scalars(system._frame_spectra[1]),  # the S_eta solve that p5_frame_bounds reads
         checks_section("verification", system_checks(system, ladders, m, tol)),
     ]
     if args.output is not None:

@@ -17,9 +17,10 @@ report how much of the start survived.  The checkers here measure, and
 
 ``hermitized_checks`` is the one home of the pair's rules: on a validated
 ``CryptoPair`` it reports ``verify_chwrt``'s checks and, when those pass,
-builds h from roots of the split of Theta that the metric check solved and
-adds ``hermitized_symmetry`` (||h - h^T|| relative to max(||h||, 1)) and
-``spectrum_min_gap`` (every eigenvalue gap at least MIN_EPS_GAP).
+builds h from both roots of the split of Theta that the metric check solved,
+one solve for the two, and adds ``hermitized_symmetry`` (||h - h^T|| relative
+to max(||h||, 1)) and ``spectrum_min_gap`` (every eigenvalue gap at least
+MIN_EPS_GAP).  ``from_crypto`` and the round trips reuse those roots and checks.
 ``hermitize`` builds the pair and raises on the first check that fails.  It
 stores the spectrum shifted so its minimum is exactly zero, recording
 the shift, which keeps the stored matrix consistent with
@@ -37,14 +38,12 @@ from .linalg import (
     _TINY,
     SPD_GATE,
     _eigh,
-    _spd_root,
+    _spd_roots,
     as_square_pair,
     freeze,
     frobenius_norm,
     residual_norm,
     spd_deficit,
-    spd_inv_sqrt,
-    spd_sqrt,
     symmetric_part,
     symmetric_part_eigenvalues,
 )
@@ -128,6 +127,28 @@ def verify_chwrt(h_matrix, theta, tolerance=None) -> VerificationReport:
     return VerificationReport(tuple(_chwrt_checks(CryptoPair(h_matrix, theta), tolerance)[0]))
 
 
+def _hermitized(pair: CryptoPair, chwrt: tuple, tolerance) -> tuple:
+    """``hermitized_checks``' result plus the roots (Theta^{1/2}, Theta^{-1/2}) that built
+    h (or None), continued from the pair's ``_chwrt_checks`` result ``chwrt``."""
+    checks, t_sym = chwrt
+    if not all(c.passed for c in checks):
+        return checks, None, None
+    # t_sym passed metric_spd, and symmetric_part(raw) is finite (residual_norm rejects
+    # a non-finite raw) and exactly symmetric: both pass the solvers' input rule already
+    h = pair.h_matrix
+    n = h.shape[0]
+    roots = _spd_roots(t_sym, "spd_sqrt")
+    raw = roots[0] @ h @ roots[1]
+    asym = residual_norm(raw, raw.T) / max(float(frobenius_norm(raw)), 1.0)
+    sym = symmetric_part(raw)
+    eig = _eigh(sym)
+    lam = eig.eigenvalues
+    checks = checks + judge(n, tolerance, hermitized_symmetry=asym, spectrum_min_gap=gap_deficit(lam))
+    shift = float(lam[0])
+    # C order: from_crypto's e @ root rounds differently on the transposed view at some N
+    return checks, HermitizedSystem(sym - shift * np.eye(n), shift, lam - shift, eig.eigenvectors.T.copy()), roots
+
+
 def hermitized_checks(pair: CryptoPair, tolerance=None):
     """(checks, HermitizedSystem or None) for the validated pair (H, Theta).
 
@@ -137,22 +158,7 @@ def hermitized_checks(pair: CryptoPair, tolerance=None):
     ``verify_chwrt`` fails; it is returned even when a later check fails,
     so a report can show the spectrum it judged.
     """
-    checks, t_sym = _chwrt_checks(pair, tolerance)
-    if not all(c.passed for c in checks):
-        return checks, None
-    # t_sym passed metric_spd, and symmetric_part(raw) is finite (residual_norm rejects
-    # a non-finite raw) and exactly symmetric: both pass the solvers' input rule already
-    h = pair.h_matrix
-    n = h.shape[0]
-    raw = _spd_root(t_sym, "spd_sqrt", np.multiply) @ h @ _spd_root(t_sym, "spd_inv_sqrt", np.divide)
-    asym = residual_norm(raw, raw.T) / max(float(frobenius_norm(raw)), 1.0)
-    sym = symmetric_part(raw)
-    eig = _eigh(sym)
-    lam = eig.eigenvalues
-    checks += judge(n, tolerance, hermitized_symmetry=asym, spectrum_min_gap=gap_deficit(lam))
-    shift = float(lam[0])
-    # C order: from_crypto's e @ root rounds differently on the transposed view at some N
-    return checks, HermitizedSystem(sym - shift * np.eye(n), shift, lam - shift, eig.eigenvectors.T.copy())
+    return _hermitized(pair, _chwrt_checks(pair, tolerance), tolerance)[:2]
 
 
 def hermitize(h_matrix, theta, tolerance=None) -> HermitizedSystem:
@@ -167,26 +173,39 @@ def hermitize(h_matrix, theta, tolerance=None) -> HermitizedSystem:
     return hs
 
 
+def _from_crypto(pair: CryptoPair, chwrt: tuple, tolerance) -> tuple:
+    """(system, HermitizedSystem) of ``from_crypto``, from the pair's ``_chwrt_checks`` result."""
+    checks, hs, roots = _hermitized(pair, chwrt, tolerance)
+    raise_first_failure("hermitize", checks, _HERMITIZE_FAILURES)
+    root, inv_root = roots
+    return build_system(hs.e @ inv_root, hs.e @ root, hs.spectrum, tolerance), hs
+
+
 def from_crypto(h_matrix, theta, tolerance=None):
     """Biorthogonal system and ladders from a cryptohermitian pair.
 
     Constructs phi_n = Theta^{-1/2} e_n and eta_n = Theta^{1/2} e_n,
-    which are biorthonormal by the orthonormality of the e_n.
+    which are biorthonormal by the orthonormality of the e_n, from the
+    roots that hermitized the pair.
     """
-    hs = hermitize(h_matrix, theta, tolerance)
-    phi = hs.e @ spd_inv_sqrt(theta)
-    eta = hs.e @ spd_sqrt(theta)
-    sys = build_system(phi, eta, hs.spectrum, tolerance)
+    pair = CryptoPair(h_matrix, theta)
+    sys, _ = _from_crypto(pair, _chwrt_checks(pair, tolerance), tolerance)
     return sys, build_ladders(sys)
+
+
+def _from_nlrpb(sys: BiorthogonalSystem, tolerance) -> tuple:
+    """(pair, its ``_chwrt_checks`` result) of ``from_nlrpb``."""
+    lad = build_ladders(sys)
+    pair = CryptoPair(lad.b @ lad.a, sys.eta.T @ sys.eta)  # S_eta, as build_metrics forms it
+    chwrt = _chwrt_checks(pair, tolerance)
+    raise_first_failure("from_nlrpb", chwrt[0], _FROM_NLRPB_FAILURES)
+    return pair, chwrt
 
 
 def from_nlrpb(sys: BiorthogonalSystem, tolerance=None) -> CryptoPair:
     """Operator H = b a with metric Theta = S_eta; raises on the first
     ``verify_chwrt`` check, at ``tolerance``, that the pair fails."""
-    lad = build_ladders(sys)
-    pair = CryptoPair(lad.b @ lad.a, sys.eta.T @ sys.eta)  # S_eta, as build_metrics forms it
-    raise_first_failure("from_nlrpb", verify_chwrt(pair.h_matrix, pair.theta, tolerance).checks, _FROM_NLRPB_FAILURES)
-    return pair
+    return _from_nlrpb(sys, tolerance)[0]
 
 
 def _line_cosine_defect(sys_a: BiorthogonalSystem, sys_b: BiorthogonalSystem) -> float:
@@ -201,9 +220,10 @@ def _line_cosine_defect(sys_a: BiorthogonalSystem, sys_b: BiorthogonalSystem) ->
 
 def nlrpb_roundtrip(sys: BiorthogonalSystem, tolerance=None):
     """(CryptoPair, checks): ``from_nlrpb(sys)``, then ``eps_roundtrip`` and
-    ``eigenline_cosines`` of the system ``from_crypto`` rebuilds from it."""
-    pair = from_nlrpb(sys, tolerance)
-    back, _ = from_crypto(pair.h_matrix, pair.theta, tolerance)
+    ``eigenline_cosines`` of the system ``from_crypto`` rebuilds from it, which
+    reuses ``from_nlrpb``'s ``verify_chwrt`` checks of the pair."""
+    pair, chwrt = _from_nlrpb(sys, tolerance)
+    back, _ = _from_crypto(pair, chwrt, tolerance)
     eps_defect = float(np.abs(back.eps - sys.eps).max())
     return pair, judge(sys.n, tolerance, eps_roundtrip=eps_defect, eigenline_cosines=_line_cosine_defect(sys, back))
 
@@ -211,10 +231,10 @@ def nlrpb_roundtrip(sys: BiorthogonalSystem, tolerance=None):
 def crypto_roundtrip(pair: CryptoPair, tolerance=None):
     """(system, shift, checks): ``from_crypto(pair)``, then ``h_roundtrip``
     (against H - shift I, relative to max(||H||, 1)) and ``theta_roundtrip``
-    (relative to ||Theta||) of the pair ``from_nlrpb`` rebuilds from it."""
+    (relative to ||Theta||) of the pair ``from_nlrpb`` rebuilds from it; the
+    shift is that of the hermitization ``from_crypto`` made."""
     h, t = pair.h_matrix, pair.theta
-    sys, _ = from_crypto(h, t, tolerance)
-    hs = hermitize(h, t, tolerance)
+    sys, hs = _from_crypto(pair, _chwrt_checks(pair, tolerance), tolerance)
     back = from_nlrpb(sys, tolerance)
     h_defect = residual_norm(back.h_matrix, h - hs.shift * np.eye(sys.n)) / max(float(frobenius_norm(h)), 1.0)
     t_defect = residual_norm(back.theta, t) / max(float(frobenius_norm(t)), _TINY)

@@ -12,7 +12,9 @@ and ``spd_inv_sqrt`` share its input rule, its errors and its one LAPACK
 call, but skip the sign fix: V f(lambda) V^T comes out bit for bit the
 same for either sign of each column of V, since the signs cancel.  Each of
 the three is the input rule ``_symmetrized`` plus a private core (``_eigh``,
-``_spd_root``), which ``cryptoherm.hermitized_checks`` calls directly.
+``_spd_roots``); ``_spd_roots`` forms both roots from one solve, and
+``cryptoherm.hermitized_checks`` calls it directly, so a pair's metric is
+factorized once for h, phi and eta.
 
 Checks that read only eigenvalues (``pseudoboson.verify_axioms``'
 ``p5_frame_bounds``, the ``model`` report's S_eta scalars and
@@ -226,24 +228,26 @@ def spd_deficit(eigenvalues) -> float:
     return max(0.0, SPD_GATE * lam_max - lam_min)
 
 
-def _spd_root(sym: np.ndarray, name: str, scale) -> np.ndarray:
-    """V scale(V, sqrt(lambda)) V^T, symmetrized, after the SPD gate on the
-    eigenpairs of ``sym``, which already passed the eigensolvers' input rule.
-    V is not sign-fixed: a flipped column flips both factors of its products."""
+def _spd_roots(sym: np.ndarray, name: str) -> tuple:
+    """(V diag(sqrt(lambda)) V^T, V diag(1/sqrt(lambda)) V^T), each symmetrized, from one
+    eigh of ``sym``, which already passed the eigensolvers' input rule, after the SPD gate
+    on its eigenvalues (``name`` names a failure).  V is not sign-fixed: a flipped column
+    flips both factors of its products."""
     lam, v = _lapack(sym, vectors=True)
     if spd_deficit(lam) > 0.0:
         raise ValidationError(
             f"{name}: matrix is not positive definite "
             f"(smallest eigenvalue {float(lam[0]):.6e}, largest {float(lam[-1]):.6e})"
         )
-    return symmetric_part(scale(v, np.sqrt(lam)) @ v.T)
+    root = np.sqrt(lam)
+    return symmetric_part((v * root) @ v.T), symmetric_part((v / root) @ v.T)
 
 
 def spd_sqrt(a) -> np.ndarray:
     """Symmetric square root V diag(sqrt(lambda)) V^T of an SPD matrix."""
-    return _spd_root(_symmetrized(a), "spd_sqrt", np.multiply)
+    return _spd_roots(_symmetrized(a), "spd_sqrt")[0]
 
 
 def spd_inv_sqrt(a) -> np.ndarray:
     """Symmetric inverse square root V diag(1/sqrt(lambda)) V^T."""
-    return _spd_root(_symmetrized(a), "spd_inv_sqrt", np.divide)
+    return _spd_roots(_symmetrized(a), "spd_inv_sqrt")[1]

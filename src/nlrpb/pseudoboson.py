@@ -36,7 +36,8 @@ the same way, so a builder and a report cannot disagree on a verdict.
 The residuals take as few passes as give the bits of one relation at a
 time: row norms once per system, one norm pass for the four p3 ladder
 relations (rows of the full products phi a^T, phi b^T, eta a, eta b),
-and S_phi, S_eta formed and tested once each, by ``build_metrics`` alone.
+and S_phi, S_eta formed, tested and solved for their eigenvalues once per
+system, which caches them for ``build_metrics`` and ``p5_frame_bounds``.
 Input types validate their data; ``MetricPair``, a result, holds what it is given.
 """
 
@@ -106,6 +107,16 @@ class BiorthogonalSystem:
         """(||phi_n||, ||eta_n||) floored at 1e-300, the relative residuals' divisors."""
         return tuple(np.maximum(frobenius_norm(rows, axis=1), _TINY) for rows in (self.phi, self.eta))
 
+    @functools.cached_property
+    def _metrics(self) -> MetricPair:
+        """``build_metrics``' frame operators, formed once per system."""
+        return MetricPair(_checked(self.phi.T @ self.phi, "s_phi", 2), _checked(self.eta.T @ self.eta, "s_eta", 2))
+
+    @functools.cached_property
+    def _frame_spectra(self) -> tuple:
+        """Ascending eigenvalues of (S_phi, S_eta), solved once per system."""
+        return tuple(symmetric_part_eigenvalues(s)[0] for s in (self._metrics.s_phi, self._metrics.s_eta))
+
 
 @dataclass(frozen=True)
 class LadderPair:
@@ -170,9 +181,9 @@ def build_ladders(sys: BiorthogonalSystem) -> LadderPair:
 
 def build_metrics(sys: BiorthogonalSystem) -> MetricPair:
     """(S_phi, S_eta) = (phi^T phi, eta^T eta), sums of rank-one projectors,
-    each tested for finite entries.  As numpy forms x^T x it is exactly
-    symmetric, so the eigensolvers' symmetry rule has nothing to raise."""
-    return MetricPair(_checked(sys.phi.T @ sys.phi, "s_phi", 2), _checked(sys.eta.T @ sys.eta, "s_eta", 2))
+    each tested for finite entries, formed once per system.  As numpy forms x^T x
+    it is exactly symmetric, so the eigensolvers' symmetry rule has nothing to raise."""
+    return sys._metrics
 
 
 def verify_axioms(sys: BiorthogonalSystem, ladders: LadderPair, tolerance=None) -> VerificationReport:
@@ -205,7 +216,7 @@ def verify_axioms(sys: BiorthogonalSystem, ladders: LadderPair, tolerance=None) 
 
     metrics = build_metrics(sys)
     s_phi, s_eta = metrics.s_phi, metrics.s_eta
-    deficit = max(spd_deficit(symmetric_part_eigenvalues(s)[0]) for s in (s_phi, s_eta))
+    deficit = max(spd_deficit(lam) for lam in sys._frame_spectra)
     eye = np.eye(n)
 
     checks = judge(

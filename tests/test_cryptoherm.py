@@ -11,6 +11,7 @@ from nlrpb.cryptoherm import (
     ROUNDTRIP_TOL,
     CryptoPair,
     HermitizedSystem,
+    _line_cosine_defect,
     crypto_roundtrip,
     from_crypto,
     from_nlrpb,
@@ -32,7 +33,7 @@ from nlrpb.linalg import (
 )
 from nlrpb.models import chebyshev_model, chebyshev_paper_normalization, two_param_model
 from nlrpb.pseudoboson import build_metrics, build_system, gap_deficit, rescale
-from nlrpb.report import Check, default_tolerance
+from nlrpb.report import Check, default_tolerance, judge
 
 
 S3 = math.sqrt(3.0)
@@ -393,6 +394,59 @@ def lossy_pair():
     while the pair's own checks and the built system's stay below 2e-13."""
     _, sys = chebyshev_model(2)
     return from_nlrpb(rescale(sys, [1.0, 1000.0]))
+
+
+def composed_from_crypto(h, t):
+    """(system, HermitizedSystem): ``from_crypto`` as it was composed before it
+    reused the roots that hermitized the pair: ``hermitize``, then the bases
+    from the public roots of Theta."""
+    hs = hermitize(h, t)
+    return build_system(hs.e @ spd_inv_sqrt(t), hs.e @ spd_sqrt(t), hs.spectrum), hs
+
+
+def checks_bits(checks):
+    return [(c.name, c.residual.hex(), c.tolerance, c.passed) for c in checks]
+
+
+class TestRoundtripsBitForBit:
+    """Both round trips give the bits of their composition from public calls:
+    ``crypto_roundtrip`` hermitized the pair a second time for its shift, and
+    ``nlrpb_roundtrip`` judged the pair it built a second time in ``hermitize``."""
+
+    @pytest.mark.parametrize("n", range(2, 41))
+    def test_same_bits_as_the_public_composition(self, n):
+        _, plain = chebyshev_model(n)
+        gauged = rescale(plain, np.exp(np.random.default_rng(n).uniform(np.log(0.5), np.log(2.0), n)))
+        for sys in (plain, gauged):
+            pair, checks = nlrpb_roundtrip(sys)
+            ref_pair = from_nlrpb(sys)
+            ref_back, _ = composed_from_crypto(ref_pair.h_matrix, ref_pair.theta)
+            assert pair.h_matrix.tobytes() == ref_pair.h_matrix.tobytes()
+            assert pair.theta.tobytes() == ref_pair.theta.tobytes()
+            ref_checks = judge(
+                n,
+                None,
+                eps_roundtrip=float(np.abs(ref_back.eps - sys.eps).max()),
+                eigenline_cosines=_line_cosine_defect(sys, ref_back),
+            )
+            assert checks_bits(checks) == checks_bits(ref_checks)
+
+            back, _ = from_crypto(pair.h_matrix, pair.theta)
+            system, shift, back_checks = crypto_roundtrip(pair)
+            h, t = pair.h_matrix, pair.theta
+            again = hermitize(h, t)
+            rebuilt = from_nlrpb(ref_back)
+            ref_back_checks = judge(
+                n,
+                None,
+                h_roundtrip=residual_norm(rebuilt.h_matrix, h - again.shift * np.eye(n)) / max(float(frobenius_norm(h)), 1.0),
+                theta_roundtrip=residual_norm(rebuilt.theta, t) / max(float(frobenius_norm(t)), 1e-300),
+            )
+            for got in (back, system):
+                for field in ("eps", "phi", "eta"):
+                    assert getattr(got, field).tobytes() == getattr(ref_back, field).tobytes(), field
+            assert shift.hex() == again.shift.hex()
+            assert checks_bits(back_checks) == checks_bits(ref_back_checks)
 
 
 class TestRoundtripChecks:

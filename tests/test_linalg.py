@@ -528,6 +528,46 @@ class TestSpdDeficit:
         assert spd_deficit(lam_ok) == 0.0
 
 
+def two_solve_roots(sym):
+    """The SPD roots as each was formed by its own eigh of ``sym`` before one
+    solve served both: V diag(f(lambda)) V^T, symmetrized."""
+    roots = []
+    for scale in (np.multiply, np.divide):
+        lam, v = np.linalg.eigh(sym)
+        roots.append(symmetric_part(scale(v, np.sqrt(lam)) @ v.T))
+    return roots
+
+
+class TestSpdRootsOneSolve:
+    """``_spd_roots`` forms both roots from one eigh, bit for bit the roots
+    that two solves of the same matrix gave, and the public ones."""
+
+    @staticmethod
+    def assert_one_solve_matches(monkeypatch, a):
+        sym = linalg._symmetrized(a)
+        expected = two_solve_roots(sym)
+        public = (spd_sqrt(a), spd_inv_sqrt(a))
+        solves = []
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda m: solves.append(m) or eigh(m))
+        with np.errstate(over="raise", invalid="raise", divide="raise"):  # the CLI's setting
+            roots = linalg._spd_roots(sym, "spd_sqrt")
+        assert len(solves) == 1
+        for got, want, pub in zip(roots, expected, public):
+            assert got.tobytes() == want.tobytes() == pub.tobytes()
+
+    @pytest.mark.parametrize("n", range(2, 65))
+    def test_gauged_chebyshev_metric(self, monkeypatch, n):
+        self.assert_one_solve_matches(monkeypatch, gauged_chebyshev_s_eta(n, seed=n))
+
+    @pytest.mark.parametrize("n", [4, 17, 32])
+    def test_skew_within_tolerance_takes_the_symmetric_part(self, monkeypatch, n):
+        a = gauged_chebyshev_s_eta(n, seed=n) + np.triu(np.full((n, n), 1e-14), 1)
+        assert 0.0 < frobenius_norm(a - a.T) and symmetry_excess(a) <= 0.0
+        assert linalg._symmetrized(a).tobytes() == symmetric_part(a).tobytes()
+        self.assert_one_solve_matches(monkeypatch, a)
+
+
 class TestSpdSqrt:
     def test_diagonal_golden(self):
         assert residual_norm(spd_sqrt(np.diag([4.0, 9.0])), np.diag([2.0, 3.0])) < 1e-15
@@ -547,7 +587,7 @@ class TestSpdSqrt:
             spd_sqrt(np.diag([1.0, -1.0]))
 
     def test_rejects_singular(self):
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match="^spd_inv_sqrt: matrix is not positive definite"):
             spd_inv_sqrt(np.diag([1.0, 0.0]))
 
     def test_rejects_asymmetric(self):
