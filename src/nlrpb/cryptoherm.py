@@ -128,8 +128,7 @@ def verify_chwrt(h_matrix, theta, tolerance=None) -> VerificationReport:
 
 
 def _hermitized(pair: CryptoPair, chwrt: tuple, tolerance) -> tuple:
-    """``hermitized_checks``' result plus the roots (Theta^{1/2}, Theta^{-1/2}) that built
-    h (or None), continued from the pair's ``_chwrt_checks`` result ``chwrt``."""
+    """``hermitized_checks`` from its ``_chwrt_checks`` result, plus the roots that built h."""
     checks, t_sym = chwrt
     if not all(c.passed for c in checks):
         return checks, None, None
@@ -137,8 +136,8 @@ def _hermitized(pair: CryptoPair, chwrt: tuple, tolerance) -> tuple:
     # a non-finite raw) and exactly symmetric: both pass the solvers' input rule already
     h = pair.h_matrix
     n = h.shape[0]
-    roots = _spd_roots(t_sym, "spd_sqrt")
-    raw = roots[0] @ h @ roots[1]
+    root, inv_root = _spd_roots(t_sym, "spd_sqrt")
+    raw = root @ h @ inv_root
     asym = residual_norm(raw, raw.T) / max(float(frobenius_norm(raw)), 1.0)
     sym = symmetric_part(raw)
     eig = _eigh(sym)
@@ -146,7 +145,7 @@ def _hermitized(pair: CryptoPair, chwrt: tuple, tolerance) -> tuple:
     checks = checks + judge(n, tolerance, hermitized_symmetry=asym, spectrum_min_gap=gap_deficit(lam))
     shift = float(lam[0])
     # C order: from_crypto's e @ root rounds differently on the transposed view at some N
-    return checks, HermitizedSystem(sym - shift * np.eye(n), shift, lam - shift, eig.eigenvectors.T.copy()), roots
+    return checks, HermitizedSystem(sym - shift * np.eye(n), shift, lam - shift, eig.eigenvectors.T.copy()), (root, inv_root)
 
 
 def hermitized_checks(pair: CryptoPair, tolerance=None):
@@ -184,9 +183,8 @@ def _from_crypto(pair: CryptoPair, chwrt: tuple, tolerance) -> tuple:
 def from_crypto(h_matrix, theta, tolerance=None):
     """Biorthogonal system and ladders from a cryptohermitian pair.
 
-    Constructs phi_n = Theta^{-1/2} e_n and eta_n = Theta^{1/2} e_n,
-    which are biorthonormal by the orthonormality of the e_n, from the
-    roots that hermitized the pair.
+    Constructs phi_n = Theta^{-1/2} e_n and eta_n = Theta^{1/2} e_n from the roots
+    that built h; they are biorthonormal because the e_n are orthonormal.
     """
     pair = CryptoPair(h_matrix, theta)
     sys, _ = _from_crypto(pair, _chwrt_checks(pair, tolerance), tolerance)
@@ -220,8 +218,7 @@ def _line_cosine_defect(sys_a: BiorthogonalSystem, sys_b: BiorthogonalSystem) ->
 
 def nlrpb_roundtrip(sys: BiorthogonalSystem, tolerance=None):
     """(CryptoPair, checks): ``from_nlrpb(sys)``, then ``eps_roundtrip`` and
-    ``eigenline_cosines`` of the system ``from_crypto`` rebuilds from it, which
-    reuses ``from_nlrpb``'s ``verify_chwrt`` checks of the pair."""
+    ``eigenline_cosines`` of the system ``from_crypto`` rebuilds from it on those checks."""
     pair, chwrt = _from_nlrpb(sys, tolerance)
     back, _ = _from_crypto(pair, chwrt, tolerance)
     eps_defect = float(np.abs(back.eps - sys.eps).max())
@@ -229,10 +226,9 @@ def nlrpb_roundtrip(sys: BiorthogonalSystem, tolerance=None):
 
 
 def crypto_roundtrip(pair: CryptoPair, tolerance=None):
-    """(system, shift, checks): ``from_crypto(pair)``, then ``h_roundtrip``
-    (against H - shift I, relative to max(||H||, 1)) and ``theta_roundtrip``
-    (relative to ||Theta||) of the pair ``from_nlrpb`` rebuilds from it; the
-    shift is that of the hermitization ``from_crypto`` made."""
+    """(system, shift, checks): ``from_crypto(pair)`` and its hermitization's shift, then
+    ``h_roundtrip`` (against H - shift I, relative to max(||H||, 1)) and ``theta_roundtrip``
+    (relative to ||Theta||) of the pair ``from_nlrpb`` rebuilds from it."""
     h, t = pair.h_matrix, pair.theta
     sys, hs = _from_crypto(pair, _chwrt_checks(pair, tolerance), tolerance)
     back = from_nlrpb(sys, tolerance)

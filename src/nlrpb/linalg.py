@@ -12,9 +12,8 @@ and ``spd_inv_sqrt`` share its input rule, its errors and its one LAPACK
 call, but skip the sign fix: V f(lambda) V^T comes out bit for bit the
 same for either sign of each column of V, since the signs cancel.  Each of
 the three is the input rule ``_symmetrized`` plus a private core (``_eigh``,
-``_spd_roots``); ``_spd_roots`` forms both roots from one solve, and
-``cryptoherm.hermitized_checks`` calls it directly, so a pair's metric is
-factorized once for h, phi and eta.
+``_spd_roots``, both roots from one solve), which ``cryptoherm.hermitized_checks``
+calls directly, so a pair's metric is factorized once for h, phi and eta.
 
 Checks that read only eigenvalues (``pseudoboson.verify_axioms``'
 ``p5_frame_bounds``, the ``model`` report's S_eta scalars and
@@ -225,14 +224,14 @@ def spd_deficit(eigenvalues) -> float:
     lam_max = float(eigenvalues[-1])
     if lam_max <= 0.0:
         return 1.0 - lam_max
-    return max(0.0, SPD_GATE * lam_max - lam_min)
+    # where 1e-12 * lambda_max underflows to 0, a zero lambda_min's deficit rounds up, not to 0
+    return max(0.0 if lam_min > 0.0 else math.ulp(0.0), SPD_GATE * lam_max - lam_min)
 
 
 def _spd_roots(sym: np.ndarray, name: str) -> tuple:
-    """(V diag(sqrt(lambda)) V^T, V diag(1/sqrt(lambda)) V^T), each symmetrized, from one
-    eigh of ``sym``, which already passed the eigensolvers' input rule, after the SPD gate
-    on its eigenvalues (``name`` names a failure).  V is not sign-fixed: a flipped column
-    flips both factors of its products."""
+    """(V sqrt(lambda) V^T, V lambda^{-1/2} V^T), symmetrized, from one eigh of a ``sym`` that
+    passed the eigensolvers' input rule, after the SPD gate (``name`` names a failure).
+    V is not sign-fixed: a flipped column flips both factors of its products."""
     lam, v = _lapack(sym, vectors=True)
     if spd_deficit(lam) > 0.0:
         raise ValidationError(

@@ -36,8 +36,7 @@ the same way, so a builder and a report cannot disagree on a verdict.
 The residuals take as few passes as give the bits of one relation at a
 time: row norms once per system, one norm pass for the four p3 ladder
 relations (rows of the full products phi a^T, phi b^T, eta a, eta b),
-and S_phi, S_eta formed, tested and solved for their eigenvalues once per
-system, which caches them for ``build_metrics`` and ``p5_frame_bounds``.
+and S_phi, S_eta formed, tested and solved once each, cached on the system.
 Input types validate their data; ``MetricPair``, a result, holds what it is given.
 """
 
@@ -184,6 +183,11 @@ def build_metrics(sys: BiorthogonalSystem) -> MetricPair:
     each tested for finite entries, formed once per system.  As numpy forms x^T x
     it is exactly symmetric, so the eigensolvers' symmetry rule has nothing to raise."""
     return sys._metrics
+
+
+def _s_eta_eigenvalues(sys: BiorthogonalSystem) -> np.ndarray:
+    """Ascending eigenvalues of S_eta, from the solve that ``p5_frame_bounds`` reads."""
+    return sys._frame_spectra[1]
 
 
 def verify_axioms(sys: BiorthogonalSystem, ladders: LadderPair, tolerance=None) -> VerificationReport:

@@ -102,6 +102,14 @@ class TestVerifyChwrt:
         assert not rep["metric_spd"].passed
         assert rep["metric_spd"].tolerance == 0.0
 
+    def test_singular_metric_under_a_subnormal_lambda_max_fails_spd_gate(self):
+        # Theta = diag(0, 1e-315): 1e-12 * lambda_max underflows, and hermitize stops
+        # at metric_spd before a root divides by the zero eigenvalue
+        h, theta = np.diag([1.0, 2.0]), np.diag([0.0, 1e-315])
+        assert verify_chwrt(h, theta)["metric_spd"].residual == math.ulp(0.0)
+        with pytest.raises(ValidationError, match=r"^hermitize: pair is not cryptohermitian \(metric_spd"):
+            hermitize(h, theta)
+
     def test_asymmetric_metric_fails_spd_gate(self):
         theta = np.array([[1.0, 0.5], [0.0, 1.0]])
         rep = verify_chwrt(np.eye(2), theta)

@@ -527,6 +527,11 @@ class TestSpdDeficit:
         lam_ok = np.array([2.0 * SPD_GATE, 1.0])
         assert spd_deficit(lam_ok) == 0.0
 
+    def test_zero_lambda_min_fails_where_the_floor_underflows(self):
+        # 1e-12 * 1e-315 underflows to 0, which lambda_min = 0 does not exceed
+        assert SPD_GATE * 1e-315 == 0.0
+        assert spd_deficit(np.array([0.0, 1e-315])) == math.ulp(0.0)
+
 
 def two_solve_roots(sym):
     """The SPD roots as each was formed by its own eigh of ``sym`` before one
@@ -589,6 +594,11 @@ class TestSpdSqrt:
     def test_rejects_singular(self):
         with pytest.raises(ValidationError, match="^spd_inv_sqrt: matrix is not positive definite"):
             spd_inv_sqrt(np.diag([1.0, 0.0]))
+
+    @pytest.mark.parametrize("root", [spd_sqrt, spd_inv_sqrt])
+    def test_rejects_singular_under_a_subnormal_lambda_max(self, root):
+        with pytest.raises(ValidationError, match=f"^{root.__name__}: matrix is not positive definite"):
+            root(np.diag([0.0, 1e-315]))
 
     def test_rejects_asymmetric(self):
         with pytest.raises(ValidationError):
