@@ -15,12 +15,11 @@ representations convert into each other:
 report how much of the start survived.  The checkers here measure, and
 ``report.judge`` sets each check's tolerance by its rule in the table there.
 
-``hermitized_checks`` is the one home of the pair's rules: on a validated
-``CryptoPair`` it reports ``verify_chwrt``'s checks and, when those pass,
-builds h from both roots of the split of Theta that the metric check solved,
-one solve for the two, and adds ``hermitized_symmetry`` (||h - h^T|| relative
-to max(||h||, 1)) and ``spectrum_min_gap`` (every eigenvalue gap at least
-MIN_EPS_GAP).  ``from_crypto`` and the round trips reuse those roots and checks.
+``hermitized_checks`` judges the pair's ``verify_chwrt`` checks and, when
+they pass, builds h from Theta's roots and adds ``hermitized_symmetry``
+(||h - h^T|| relative to max(||h||, 1)) and ``spectrum_min_gap`` (every
+eigenvalue gap at least MIN_EPS_GAP).  Each ``CryptoPair`` caches those
+measurements and roots, so Theta is solved once per pair, whoever reads it.
 ``hermitize`` builds the pair and raises on the first check that fails.  It
 stores the spectrum shifted so its minimum is exactly zero, recording
 the shift, which keeps the stored matrix consistent with
@@ -30,6 +29,7 @@ h + shift I.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -77,7 +77,11 @@ _FROM_NLRPB_FAILURES = {
 
 @dataclass(frozen=True)
 class CryptoPair:
-    """Operator with metric; ``h_matrix`` is generally non-symmetric."""
+    """Operator with metric; ``h_matrix`` is generally non-symmetric.
+
+    Like ``BiorthogonalSystem``, the pair measures itself once, on first use:
+    ``_chwrt`` and ``_roots`` hold no tolerance, so it can be judged at any.
+    """
 
     h_matrix: np.ndarray
     theta: np.ndarray
@@ -85,6 +89,22 @@ class CryptoPair:
     def __post_init__(self):
         h, t = as_square_pair("crypto pair", self.h_matrix, self.theta, ("h_matrix", "theta"))
         freeze(self, h_matrix=h, theta=t)
+
+    @functools.cached_property
+    def _chwrt(self) -> tuple:
+        """(``verify_chwrt``'s residuals by check name, the split of Theta that the metric's values solve ran on)."""
+        h, t = self.h_matrix, self.theta
+        lam, asymmetry, t_sym = symmetric_part_eigenvalues(t)
+        th = t @ h
+        # float64 division, so an overflow raises under the CLI's errstate
+        crypto = residual_norm(th, h.T @ t) / np.maximum(frobenius_norm(th), _TINY)
+        return {"cryptohermiticity": crypto, "metric_spd": max(0.0, asymmetry, spd_deficit(lam))}, t_sym
+
+    @functools.cached_property
+    def _roots(self) -> tuple:
+        """(Theta^{1/2}, Theta^{-1/2}) from one eigh of ``_chwrt``'s split, read once metric_spd
+        passed: that is the pair's one SPD gate, so this solve's values are not judged again."""
+        return _spd_roots(self._chwrt[1])
 
 
 @dataclass(frozen=True)
@@ -106,46 +126,14 @@ class HermitizedSystem:
         freeze(self, h=self.h, spectrum=self.spectrum, e=self.e)
 
 
-def _chwrt_checks(pair: CryptoPair, tolerance) -> tuple:
-    """(``verify_chwrt``'s two checks, Theta's symmetric split) for a validated pair:
-    the split is what the metric's values solve ran on, and the SPD roots reuse it."""
-    h, t = pair.h_matrix, pair.theta
-    lam, asymmetry, t_sym = symmetric_part_eigenvalues(t)
-    metric_residual = max(0.0, asymmetry, spd_deficit(lam))
-    th = t @ h
-    # float64 division, so an overflow raises under the CLI's errstate
-    crypto_residual = residual_norm(th, h.T @ t) / np.maximum(frobenius_norm(th), _TINY)
-    return judge(h.shape[0], tolerance, cryptohermiticity=crypto_residual, metric_spd=metric_residual), t_sym
-
-
 def verify_chwrt(h_matrix, theta, tolerance=None) -> VerificationReport:
     """Report on Theta being SPD and on the residual Theta H - H^T Theta.
 
     The cryptohermiticity residual is relative to ||Theta H||_F; the
     metric entry is a positive-definiteness deficit, judged at tolerance 0.
     """
-    return VerificationReport(tuple(_chwrt_checks(CryptoPair(h_matrix, theta), tolerance)[0]))
-
-
-def _hermitized(pair: CryptoPair, chwrt: tuple, tolerance) -> tuple:
-    """``hermitized_checks`` from its ``_chwrt_checks`` result, plus the roots that built h."""
-    checks, t_sym = chwrt
-    if not all(c.passed for c in checks):
-        return checks, None, None
-    # t_sym passed metric_spd, and symmetric_part(raw) is finite (residual_norm rejects
-    # a non-finite raw) and exactly symmetric: both pass the solvers' input rule already
-    h = pair.h_matrix
-    n = h.shape[0]
-    root, inv_root = _spd_roots(t_sym, "spd_sqrt")
-    raw = root @ h @ inv_root
-    asym = residual_norm(raw, raw.T) / max(float(frobenius_norm(raw)), 1.0)
-    sym = symmetric_part(raw)
-    eig = _eigh(sym)
-    lam = eig.eigenvalues
-    checks = checks + judge(n, tolerance, hermitized_symmetry=asym, spectrum_min_gap=gap_deficit(lam))
-    shift = float(lam[0])
-    # C order: from_crypto's e @ root rounds differently on the transposed view at some N
-    return checks, HermitizedSystem(sym - shift * np.eye(n), shift, lam - shift, eig.eigenvectors.T.copy()), (root, inv_root)
+    pair = CryptoPair(h_matrix, theta)
+    return VerificationReport(tuple(judge(pair.theta.shape[0], tolerance, **pair._chwrt[0])))
 
 
 def hermitized_checks(pair: CryptoPair, tolerance=None):
@@ -157,7 +145,23 @@ def hermitized_checks(pair: CryptoPair, tolerance=None):
     ``verify_chwrt`` fails; it is returned even when a later check fails,
     so a report can show the spectrum it judged.
     """
-    return _hermitized(pair, _chwrt_checks(pair, tolerance), tolerance)[:2]
+    h = pair.h_matrix
+    n = h.shape[0]
+    checks = judge(n, tolerance, **pair._chwrt[0])
+    if not all(c.passed for c in checks):
+        return checks, None
+    # symmetric_part(raw) is finite (residual_norm rejects a non-finite raw) and
+    # exactly symmetric: it passes the solver's input rule already
+    root, inv_root = pair._roots
+    raw = root @ h @ inv_root
+    asym = residual_norm(raw, raw.T) / max(float(frobenius_norm(raw)), 1.0)
+    sym = symmetric_part(raw)
+    eig = _eigh(sym)
+    lam = eig.eigenvalues
+    checks = checks + judge(n, tolerance, hermitized_symmetry=asym, spectrum_min_gap=gap_deficit(lam))
+    shift = float(lam[0])
+    # C order: from_crypto's e @ root rounds differently on the transposed view at some N
+    return checks, HermitizedSystem(sym - shift * np.eye(n), shift, lam - shift, eig.eigenvectors.T.copy())
 
 
 def hermitize(h_matrix, theta, tolerance=None) -> HermitizedSystem:
@@ -172,11 +176,11 @@ def hermitize(h_matrix, theta, tolerance=None) -> HermitizedSystem:
     return hs
 
 
-def _from_crypto(pair: CryptoPair, chwrt: tuple, tolerance) -> tuple:
-    """(system, HermitizedSystem) of ``from_crypto``, from the pair's ``_chwrt_checks`` result."""
-    checks, hs, roots = _hermitized(pair, chwrt, tolerance)
+def _from_crypto(pair: CryptoPair, tolerance) -> tuple:
+    """(system, HermitizedSystem) of ``from_crypto`` on the validated pair."""
+    checks, hs = hermitized_checks(pair, tolerance)
     raise_first_failure("hermitize", checks, _HERMITIZE_FAILURES)
-    root, inv_root = roots
+    root, inv_root = pair._roots
     return build_system(hs.e @ inv_root, hs.e @ root, hs.spectrum, tolerance), hs
 
 
@@ -186,24 +190,17 @@ def from_crypto(h_matrix, theta, tolerance=None):
     Constructs phi_n = Theta^{-1/2} e_n and eta_n = Theta^{1/2} e_n from the roots
     that built h; they are biorthonormal because the e_n are orthonormal.
     """
-    pair = CryptoPair(h_matrix, theta)
-    sys, _ = _from_crypto(pair, _chwrt_checks(pair, tolerance), tolerance)
+    sys, _ = _from_crypto(CryptoPair(h_matrix, theta), tolerance)
     return sys, build_ladders(sys)
-
-
-def _from_nlrpb(sys: BiorthogonalSystem, tolerance) -> tuple:
-    """(pair, its ``_chwrt_checks`` result) of ``from_nlrpb``."""
-    lad = build_ladders(sys)
-    pair = CryptoPair(lad.b @ lad.a, sys.eta.T @ sys.eta)  # S_eta, as build_metrics forms it
-    chwrt = _chwrt_checks(pair, tolerance)
-    raise_first_failure("from_nlrpb", chwrt[0], _FROM_NLRPB_FAILURES)
-    return pair, chwrt
 
 
 def from_nlrpb(sys: BiorthogonalSystem, tolerance=None) -> CryptoPair:
     """Operator H = b a with metric Theta = S_eta; raises on the first
     ``verify_chwrt`` check, at ``tolerance``, that the pair fails."""
-    return _from_nlrpb(sys, tolerance)[0]
+    lad = build_ladders(sys)
+    pair = CryptoPair(lad.b @ lad.a, sys.eta.T @ sys.eta)  # S_eta, as build_metrics forms it
+    raise_first_failure("from_nlrpb", judge(sys.n, tolerance, **pair._chwrt[0]), _FROM_NLRPB_FAILURES)
+    return pair
 
 
 def _line_cosine_defect(sys_a: BiorthogonalSystem, sys_b: BiorthogonalSystem) -> float:
@@ -218,9 +215,9 @@ def _line_cosine_defect(sys_a: BiorthogonalSystem, sys_b: BiorthogonalSystem) ->
 
 def nlrpb_roundtrip(sys: BiorthogonalSystem, tolerance=None):
     """(CryptoPair, checks): ``from_nlrpb(sys)``, then ``eps_roundtrip`` and
-    ``eigenline_cosines`` of the system ``from_crypto`` rebuilds from it on those checks."""
-    pair, chwrt = _from_nlrpb(sys, tolerance)
-    back, _ = _from_crypto(pair, chwrt, tolerance)
+    ``eigenline_cosines`` of the system ``from_crypto`` rebuilds from that pair."""
+    pair = from_nlrpb(sys, tolerance)
+    back, _ = _from_crypto(pair, tolerance)
     eps_defect = float(np.abs(back.eps - sys.eps).max())
     return pair, judge(sys.n, tolerance, eps_roundtrip=eps_defect, eigenline_cosines=_line_cosine_defect(sys, back))
 
@@ -230,7 +227,7 @@ def crypto_roundtrip(pair: CryptoPair, tolerance=None):
     ``h_roundtrip`` (against H - shift I, relative to max(||H||, 1)) and ``theta_roundtrip``
     (relative to ||Theta||) of the pair ``from_nlrpb`` rebuilds from it."""
     h, t = pair.h_matrix, pair.theta
-    sys, hs = _from_crypto(pair, _chwrt_checks(pair, tolerance), tolerance)
+    sys, hs = _from_crypto(pair, tolerance)
     back = from_nlrpb(sys, tolerance)
     h_defect = residual_norm(back.h_matrix, h - hs.shift * np.eye(sys.n)) / max(float(frobenius_norm(h)), 1.0)
     t_defect = residual_norm(back.theta, t) / max(float(frobenius_norm(t)), _TINY)

@@ -12,13 +12,13 @@ and ``spd_inv_sqrt`` share its input rule, its errors and its one LAPACK
 call, but skip the sign fix: V f(lambda) V^T comes out bit for bit the
 same for either sign of each column of V, since the signs cancel.  Each of
 the three is the input rule ``_symmetrized`` plus a private core (``_eigh``,
-``_spd_roots``, both roots from one solve), which ``cryptoherm.hermitized_checks``
-calls directly, so a pair's metric is factorized once for h, phi and eta.
+``_spd_roots``, both roots from one solve).  A ``cryptoherm.CryptoPair`` caches
+``_spd_roots`` of its Theta without the gate, which its metric_spd check applied.
 
 Checks that read only eigenvalues (``pseudoboson.verify_axioms``'
 ``p5_frame_bounds``, the ``model`` report's S_eta scalars and
-``cryptoherm.verify_chwrt``'s ``metric_spd``, which keeps the split S that
-the solve returns for the SPD roots) call ``symmetric_part_eigenvalues``:
+a ``CryptoPair``'s ``metric_spd``, which keeps the split S that the solve
+returns for its roots) call ``symmetric_part_eigenvalues``:
 ``numpy.linalg.eigvalsh`` on finite square input.  The symmetry rule
 first compares the bits of a and a^T and solves an exactly symmetric matrix
 as it is; any other is solved as ``symmetric_part(a)``, which halves before it
@@ -228,12 +228,13 @@ def spd_deficit(eigenvalues) -> float:
     return max(0.0 if lam_min > 0.0 else math.ulp(0.0), SPD_GATE * lam_max - lam_min)
 
 
-def _spd_roots(sym: np.ndarray, name: str) -> tuple:
+def _spd_roots(sym: np.ndarray, name: str | None = None) -> tuple:
     """(V sqrt(lambda) V^T, V lambda^{-1/2} V^T), symmetrized, from one eigh of a ``sym`` that
-    passed the eigensolvers' input rule, after the SPD gate (``name`` names a failure).
+    passed the eigensolvers' input rule.  With ``name``, the SPD gate runs on this solve's
+    values and ``name`` names a failure; without, the caller has already judged ``sym``.
     V is not sign-fixed: a flipped column flips both factors of its products."""
     lam, v = _lapack(sym, vectors=True)
-    if spd_deficit(lam) > 0.0:
+    if name and spd_deficit(lam) > 0.0:
         raise ValidationError(
             f"{name}: matrix is not positive definite "
             f"(smallest eigenvalue {float(lam[0]):.6e}, largest {float(lam[-1]):.6e})"

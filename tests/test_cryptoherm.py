@@ -22,6 +22,7 @@ from nlrpb.cryptoherm import (
 )
 from nlrpb.errors import ValidationError
 from nlrpb.linalg import (
+    SPD_GATE,
     frobenius_norm,
     jacobi_eigh,
     residual_norm,
@@ -286,6 +287,67 @@ class TestHermitizedChecksBitForBit:
         with pytest.raises(ValidationError) as exc:
             hermitize(h, theta)
         assert str(exc.value) == text
+
+
+def count_solves(monkeypatch):
+    """Counts of ``numpy.linalg.eigvalsh``/``eigh`` calls from now on, by name."""
+    counts = {"eigvalsh": 0, "eigh": 0}
+    for name in counts:
+
+        def solve(*args, _name=name, _original=getattr(np.linalg, name), **kwargs):
+            counts[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, solve)
+    return counts
+
+
+class TestPairCache:
+    """A pair measures Theta once and holds no tolerance: judged again at any
+    tolerance, it gives a fresh pair's verdict and solves only h."""
+
+    def test_one_pair_judged_at_several_tolerances(self, tmp_path, monkeypatch):
+        pair = written_pair(5, tmp_path)
+        tolerances = (1e-30, None, 1.0)
+        fresh = {tol: hermitized_checks(CryptoPair(pair.h_matrix, pair.theta), tol) for tol in tolerances}
+        for tol in tolerances:
+            hermitized_checks(pair, tol)
+        counts = count_solves(monkeypatch)
+        for tol in tolerances:
+            counts.update(eigvalsh=0, eigh=0)
+            checks, hs = hermitized_checks(pair, tol)
+            ref_checks, ref_hs = fresh[tol]
+            assert [(c.name, c.residual, c.tolerance, c.passed) for c in checks] == [
+                (c.name, c.residual, c.tolerance, c.passed) for c in ref_checks
+            ]
+            assert (hs is None) is (ref_hs is None)
+            assert counts == {"eigvalsh": 0, "eigh": 0 if hs is None else 1}, tol
+        assert fresh[1e-30][1] is None and fresh[1.0][1] is not None
+
+
+class TestOneSpdGate:
+    """metric_spd is the pair's only SPD gate: a Theta that passes it on the values
+    solve is not failed again by the roots' own eigh, whose lambda_min may round
+    below the gate.  Such a pair is judged (exit 0 or 1), not an error (exit 2)."""
+
+    def test_roots_solve_below_the_gate_is_not_an_error(self, tmp_path, monkeypatch, capsys):
+        pair = written_pair(5, tmp_path)
+        path = tmp_path / "pair.json"
+        original, nudges = np.linalg.eigh, []
+
+        def nudged(a, *args, **kwargs):
+            lam, v = original(a, *args, **kwargs)
+            if np.array_equal(a, pair.theta):
+                nudges.append(lam[0])
+                lam = lam.copy()
+                lam[0] = 0.5 * SPD_GATE * lam[-1]
+            return lam, v
+
+        monkeypatch.setattr(np.linalg, "eigh", nudged)
+        capsys.readouterr()
+        assert main(["verify", str(path)]) in (0, 1)
+        assert capsys.readouterr().err == ""
+        assert len(nudges) == 1
 
 
 class TestFromCrypto:
