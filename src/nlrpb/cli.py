@@ -39,7 +39,7 @@ from .cryptoherm import crypto_roundtrip, hermitize, hermitized_checks, nlrpb_ro
 from .errors import ConvergenceError, SchemaError, ValidationError
 from .linalg import jacobi_eigh
 from .models import _FAMILIES, chebyshev_model, chebyshev_paper_normalization, stored_params_check, two_param_model
-from .pseudoboson import LadderPair, _s_eta_eigenvalues, build_ladders, build_metrics, build_system, stored_metrics_check, system_checks
+from .pseudoboson import LadderPair, build_ladders, build_metrics, build_system, stored_metrics_check, system_checks
 from .report import Check
 
 __all__ = ["main"]
@@ -199,7 +199,7 @@ def _cmd_model(args) -> int:
 
     sections = [
         spectrum_section("spectrum", system.eps),
-        _metric_scalars(_s_eta_eigenvalues(system)),
+        _metric_scalars(system._frame_spectra[1]),
         checks_section("verification", system_checks(system, ladders, m, tol)),
     ]
     if args.output is not None:

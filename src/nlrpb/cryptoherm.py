@@ -75,7 +75,7 @@ _FROM_NLRPB_FAILURES = {
 }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CryptoPair:
     """Operator with metric; ``h_matrix`` is generally non-symmetric.
 
@@ -107,7 +107,7 @@ class CryptoPair:
         return _spd_roots(self._chwrt[1])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HermitizedSystem:
     """Symmetric representative with zero-based spectrum.
 

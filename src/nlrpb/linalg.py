@@ -130,7 +130,7 @@ def symmetry_excess(a: np.ndarray) -> float:
     return float(frobenius_norm(a - a.T)) - _SYM_RTOL * max(float(frobenius_norm(a)), 1.0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SymEig:
     """Eigendecomposition of a symmetric matrix.
 

@@ -31,13 +31,15 @@ operator) and ``stored_metrics`` (stored frame operators against the bases).
 ``system_checks`` is the one verdict on a system: its ``eps_structure`` gate
 decides whether the axiom, commutator and eigen checks run or only
 ``p3_biorthonormality``.  ``build_system`` raises on the first two, judged
-the same way, so a builder and a report cannot disagree on a verdict.
+on the same cached residuals, so a builder and a report cannot disagree.
 
-The residuals take as few passes as give the bits of one relation at a
-time: row norms once per system, one norm pass for the four p3 ladder
-relations (rows of the full products phi a^T, phi b^T, eta a, eta b),
-and S_phi, S_eta formed, tested and solved once each, cached on the system.
-Input types validate their data; ``MetricPair``, a result, holds what it is given.
+A system measures itself once, on first use, with no tolerance attached:
+``_structure`` (those two residuals), ``_row_norms``, ``_metrics`` (S_phi,
+S_eta) and ``_frame_spectra``.  ``cryptoherm.from_nlrpb`` forms S_eta on its
+own, as S_phi can overflow where S_eta is finite.  One norm pass covers the
+four p3 ladder relations (rows of phi a^T, phi b^T, eta a, eta b).  Input
+types validate their data; ``MetricPair``, a result, holds what it is given.
+Array-holding values compare and hash by identity (``eq=False``).
 """
 
 from __future__ import annotations
@@ -78,7 +80,7 @@ _BUILD_FAILURES = {
 }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BiorthogonalSystem:
     """Spectrum ``eps`` plus row-stacked bases ``phi`` and ``eta``; ``n`` is
     the number of levels, len(eps).
@@ -102,6 +104,16 @@ class BiorthogonalSystem:
         freeze(self, eps=eps, phi=phi, eta=eta, n=eps.shape[0])
 
     @functools.cached_property
+    def _structure(self) -> dict:
+        """``eps_structure`` (how far |eps[0]| exceeds 1e-12 or a gap falls below MIN_EPS_GAP)
+        and ``p3_biorthonormality`` (max |<phi_n, eta_m> - delta_nm|), by check name."""
+        eps = self.eps
+        return {
+            "eps_structure": max(0.0, abs(float(eps[0])) - _EPS0_TOL, gap_deficit(eps)),
+            "p3_biorthonormality": float(np.abs(self.phi @ self.eta.T - np.eye(self.n)).max()),
+        }
+
+    @functools.cached_property
     def _row_norms(self) -> tuple:
         """(||phi_n||, ||eta_n||) floored at 1e-300, the relative residuals' divisors."""
         return tuple(np.maximum(frobenius_norm(rows, axis=1), _TINY) for rows in (self.phi, self.eta))
@@ -117,7 +129,7 @@ class BiorthogonalSystem:
         return tuple(symmetric_part_eigenvalues(s)[0] for s in (self._metrics.s_phi, self._metrics.s_eta))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LadderPair:
     """Lowering matrix ``a`` and raising matrix ``b``."""
 
@@ -129,7 +141,7 @@ class LadderPair:
         freeze(self, a=a, b=b)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MetricPair:
     """``build_metrics``' S_phi and S_eta (mutually inverse when valid), held read-only."""
 
@@ -146,16 +158,6 @@ def gap_deficit(values) -> float:
     return max(0.0, MIN_EPS_GAP - float(np.diff(values).min(initial=np.inf)))
 
 
-def _eps_structure(sys: BiorthogonalSystem) -> float:
-    """``eps_structure``'s deficit: how far |eps[0]| exceeds 1e-12 or a gap falls below MIN_EPS_GAP."""
-    return max(0.0, abs(float(sys.eps[0])) - _EPS0_TOL, gap_deficit(sys.eps))
-
-
-def _biorthonormality(sys: BiorthogonalSystem) -> float:
-    """``p3_biorthonormality``: max |<phi_n, eta_m> - delta_nm|."""
-    return float(np.abs(sys.phi @ sys.eta.T - np.eye(sys.n)).max())
-
-
 def build_system(phi, eta, eps, tolerance=None) -> BiorthogonalSystem:
     """Validate and freeze a biorthogonal system.
 
@@ -163,8 +165,7 @@ def build_system(phi, eta, eps, tolerance=None) -> BiorthogonalSystem:
     ``report.judge`` judges them at ``tolerance``.
     """
     sys = BiorthogonalSystem(eps, phi, eta)
-    checks = judge(sys.n, tolerance, eps_structure=_eps_structure(sys), p3_biorthonormality=_biorthonormality(sys))
-    raise_first_failure("build_system", checks, _BUILD_FAILURES)
+    raise_first_failure("build_system", judge(sys.n, tolerance, **sys._structure), _BUILD_FAILURES)
     return sys
 
 
@@ -183,11 +184,6 @@ def build_metrics(sys: BiorthogonalSystem) -> MetricPair:
     each tested for finite entries, formed once per system.  As numpy forms x^T x
     it is exactly symmetric, so the eigensolvers' symmetry rule has nothing to raise."""
     return sys._metrics
-
-
-def _s_eta_eigenvalues(sys: BiorthogonalSystem) -> np.ndarray:
-    """Ascending eigenvalues of S_eta, from the solve that ``p5_frame_bounds`` reads."""
-    return sys._frame_spectra[1]
 
 
 def verify_axioms(sys: BiorthogonalSystem, ladders: LadderPair, tolerance=None) -> VerificationReport:
@@ -228,7 +224,7 @@ def verify_axioms(sys: BiorthogonalSystem, ladders: LadderPair, tolerance=None) 
         tolerance,
         p1_vacuum_phi=p1,
         p2_vacuum_eta=p2,
-        p3_biorthonormality=_biorthonormality(sys),
+        p3_biorthonormality=sys._structure["p3_biorthonormality"],
         p3_ladder_relations=ladder,
         p4_resolution_of_identity=float(frobenius_norm(phi.T @ eta - eye)),
         p5_frame_bounds=deficit,
@@ -267,12 +263,12 @@ def system_checks(sys: BiorthogonalSystem, ladders: LadderPair | None = None, m=
     worst ``commutator_defect`` over levels 0..N-2, 0.0 when N = 1) and, when ``m`` is
     known, ``eigen_relations``; when the gate fails, sqrt(eps) means nothing and only
     ``p3_biorthonormality`` follows.  ``ladders`` default to ``build_ladders(sys)``."""
-    checks = judge(sys.n, tolerance, eps_structure=_eps_structure(sys))
-    if not checks[0].passed:
-        return checks + judge(sys.n, tolerance, p3_biorthonormality=_biorthonormality(sys))
+    gate, p3 = judge(sys.n, tolerance, **sys._structure)
+    if not gate.passed:
+        return [gate, p3]
     if ladders is None:
         ladders = build_ladders(sys)
-    checks += verify_axioms(sys, ladders, tolerance).checks
+    checks = [gate, *verify_axioms(sys, ladders, tolerance).checks]
     residuals = {"commutator_gaps": commutator_defect(sys, ladders, np.arange(sys.n - 1)).max(initial=0.0)}
     if m is not None:
         residuals["eigen_relations"] = _eigen_relations(sys, m)

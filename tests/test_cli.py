@@ -18,12 +18,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nlrpb import serialize
+from nlrpb import pseudoboson, serialize
 from nlrpb.cli import _metric_scalars, main
 from nlrpb.cryptoherm import CryptoPair, from_nlrpb, hermitize
 from nlrpb.errors import ValidationError
 from nlrpb.models import chebyshev_model, chebyshev_paper_normalization
-from nlrpb.pseudoboson import MIN_EPS_GAP, build_metrics, build_system
+from nlrpb.pseudoboson import MIN_EPS_GAP, BiorthogonalSystem, build_metrics, build_system
 
 
 @pytest.fixture(autouse=True)
@@ -1234,6 +1234,24 @@ class TestEigensolveRouting:
             seen[name] = (counts["eigvalsh"], counts["eigh"])
         capsys.readouterr()
         assert seen == {name: split for name, _, split in chain}
+
+
+class TestOneStructureMeasurement:
+    """``model`` measures its system's eps and biorthonormality once: ``build_system``'s
+    gate and the report's ``system_checks`` judge the same cached residuals."""
+
+    def test_model_measures_structure_once(self, capsys, monkeypatch):
+        measured, scans = [], []
+        measure = BiorthogonalSystem.__dict__["_structure"].func
+        counting = functools.cached_property(lambda sys: measured.append(sys) or measure(sys))
+        counting.__set_name__(BiorthogonalSystem, "_structure")
+        monkeypatch.setattr(BiorthogonalSystem, "_structure", counting)
+        gap_deficit = pseudoboson.gap_deficit
+        monkeypatch.setattr(pseudoboson, "gap_deficit", lambda values: scans.append(values) or gap_deficit(values))
+        assert main(["model", "chebyshev", "--n", "8"]) == 0
+        capsys.readouterr()
+        assert len(measured) == 1
+        assert len(scans) == 1
 
 
 class TestJsonOutput:

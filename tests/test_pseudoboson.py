@@ -3,11 +3,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nlrpb.cli import checks_section
-from nlrpb.cryptoherm import from_crypto, from_nlrpb, nlrpb_roundtrip
+from nlrpb.cryptoherm import CryptoPair, HermitizedSystem, from_crypto, from_nlrpb, nlrpb_roundtrip
 from nlrpb.errors import ValidationError
-from nlrpb.linalg import _TINY, frobenius_norm, residual_norm, spd_deficit, symmetric_part_eigenvalues
+from nlrpb.linalg import _TINY, SymEig, frobenius_norm, residual_norm, spd_deficit, symmetric_part_eigenvalues
 from nlrpb.models import chebyshev_model, chebyshev_paper_normalization, two_param_model
 from nlrpb.pseudoboson import (
     MIN_EPS_GAP,
@@ -22,6 +24,7 @@ from nlrpb.pseudoboson import (
     system_checks,
     verify_axioms,
 )
+from nlrpb.report import default_tolerance
 
 
 def trivial_system(n=3):
@@ -296,6 +299,77 @@ class TestSystemChecks:
         checks = system_checks(bad, LadderPair(np.eye(3), np.eye(3)), np.eye(3), 1e-3)
         assert [(c.name, c.passed) for c in checks] == [("eps_structure", False), ("p3_biorthonormality", True)]
         assert checks[1].tolerance == 1e-3
+
+
+@st.composite
+def _near_structure_gates(draw):
+    """(phi, eta, eps, tolerance): a Chebyshev system of size 2..8 with, each drawn
+    or not, eps[0] moved across 1e-12, one gap across MIN_EPS_GAP and one phi entry
+    moved so that p3_biorthonormality straddles the tolerance."""
+    n = draw(st.integers(2, 8))
+    tolerance = draw(st.sampled_from((None, 1e-12, 1e-6)))
+    _, sys = chebyshev_model(n)
+    eps, phi, eta = sys.eps.copy(), sys.phi.copy(), sys.eta
+    if draw(st.booleans()):
+        eps[0] = draw(st.floats(-2e-12, 2e-12))
+    if draw(st.booleans()):
+        k = draw(st.integers(0, n - 2))
+        eps[k + 1] = eps[k] + draw(st.floats(0.5, 1.5)) * MIN_EPS_GAP
+    if draw(st.booleans()):
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        scale = default_tolerance(n) if tolerance is None else tolerance
+        phi[i, j] += draw(st.floats(0.5, 2.0)) * scale / np.abs(eta[:, j]).max()
+    return phi, eta, eps, tolerance
+
+
+class TestBuilderReportAgreement:
+    @settings(deadline=None, max_examples=200)
+    @given(_near_structure_gates())
+    def test_build_system_raises_iff_the_report_fails_its_gates(self, case):
+        phi, eta, eps, tolerance = case
+        report = system_checks(BiorthogonalSystem(eps, phi, eta), tolerance=tolerance)
+        gates = [c for c in report if c.name in ("eps_structure", "p3_biorthonormality")]
+        failed = [c for c in gates if not c.passed]
+        try:
+            built = build_system(phi, eta, eps, tolerance)
+        except ValidationError as exc:
+            assert failed
+            first = failed[0]
+            assert str(exc).startswith("build_system: ")
+            assert str(exc).endswith(f"({first.name} residual {first.residual:.3e} > {first.tolerance:g})")
+        else:
+            assert not failed
+            assert {name: float(r).hex() for name, r in built._structure.items()} == {
+                c.name: c.residual.hex() for c in gates
+            }
+
+
+def _identity_values():
+    """(type, constructor from a 2x2 matrix and a length-2 vector) for every value type that holds arrays."""
+    return [
+        (BiorthogonalSystem, lambda mat, vec: BiorthogonalSystem(vec, mat, mat)),
+        (LadderPair, lambda mat, vec: LadderPair(mat, mat)),
+        (MetricPair, lambda mat, vec: MetricPair(mat, mat)),
+        (CryptoPair, lambda mat, vec: CryptoPair(mat, mat)),
+        (HermitizedSystem, lambda mat, vec: HermitizedSystem(mat, 0.0, vec, mat)),
+        (SymEig, lambda mat, vec: SymEig(vec, mat)),
+    ]
+
+
+class TestIdentity:
+    """Values that hold arrays compare and hash by identity: a field-by-field ``==``
+    would ask bool() of an elementwise array comparison and raise."""
+
+    @pytest.mark.parametrize("cls, make", _identity_values(), ids=[cls.__name__ for cls, _ in _identity_values()])
+    def test_equal_only_to_itself_and_hashable(self, cls, make):
+        mat, vec = np.eye(2), np.array([0.0, 1.0])
+        x, twin = make(mat, vec), make(mat, vec)
+        assert type(x) is cls
+        assert x == x
+        assert (x == twin) is False
+        assert hash(x) == hash(x)
+        assert len({x, x}) == 1
+        assert len({x, twin}) == 2
 
 
 class TestRescale:
