@@ -79,7 +79,10 @@ orjson still writes ``uuid.UUID`` and enum members, which json refuses;
 nlrpb passes neither.
 
 Writes go to a temp file next to the target followed by os.replace, so
-readers never observe partial documents.  The target is judged as given,
+readers never observe partial documents.  The written file has the
+permission bits ``open(path, "w")`` would leave: a regular file it
+replaces keeps its own, and a new one gets 0o666 less the umask (0o644
+under the usual umask 0o022).  The target is judged as given,
 never normalized, by ``check_destination``, which returns the directory
 the temp file goes in.  The CLI applies it before computing a document,
 so a target that cannot be written is refused without the work.
@@ -413,15 +416,32 @@ def check_destination(path) -> str:
     return directory
 
 
+def _written_mode(path) -> int:
+    """The permission bits ``open(path, "w")`` would leave: a regular file
+    keeps its own, and a new one gets 0o666 less the umask."""
+    try:
+        return os.stat(path).st_mode & 0o777
+    except FileNotFoundError:
+        # os.umask reads the mask only by setting it, process-wide, so it is
+        # set back at once; 0o077 in between means a file that another thread
+        # creates meanwhile is at worst owner-only, never wider than asked
+        umask = os.umask(0o077)
+        os.umask(umask)
+        return 0o666 & ~umask
+
+
 def write_document(path, obj) -> None:
-    """Serialize obj to path via a temp file and atomic rename.  A target
+    """Serialize obj to path via a temp file and atomic rename.  The file gets
+    the permission bits ``open(path, "w")`` would leave.  A target
     ``check_destination`` refuses is left untouched; every OSError names path."""
     directory = check_destination(path)
     text = dumps(obj) + "\n"
     tmp = None
     try:
+        mode = _written_mode(path)
         fd, tmp = tempfile.mkstemp(prefix=".nlrpb-", suffix=".tmp", dir=directory)
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
+            os.fchmod(fd, mode)  # mkstemp creates it owner-only (0o600)
             fh.write(text)
         os.replace(tmp, path)
         tmp = None

@@ -634,6 +634,20 @@ class TestConvertCommand:
         out = serialize.system_from_dict(serialize.load_document(back))
         assert np.abs(out.eps - sys4.eps).max() < 1e-9
 
+    def test_chain_chebyshev_n32(self, capsys, tmp_path):
+        # N = 32: the Chebyshev rows' memory layout sets the bases' last bits here
+        art, pair, back = (str(tmp_path / f"{name}.json") for name in ("art", "pair", "back"))
+        for argv in (
+            ["model", "chebyshev", "--n", "32", "-o", art],
+            ["verify", art],
+            ["convert", "nlrpb2crypto", art, "-o", pair],
+            ["verify", pair],
+            ["convert", "crypto2nlrpb", pair, "-o", back],
+            ["verify", back],
+        ):
+            assert main(argv) == 0, argv
+        assert capsys.readouterr().err == ""
+
     def test_artifact_accepted_directly(self, capsys, tmp_path):
         art = tmp_path / "art.json"
         assert main(["model", "two-param", "--beta", "1.5", "--delta", "-0.5", "-o", str(art)]) == 0
@@ -732,6 +746,90 @@ class TestGapBoundary:
             assert (verify_rc, convert_rc, verify_pair_rc, built, hermitized) == (0, 0, 0, True, True)
         else:
             assert (verify_rc, convert_rc, verify_pair_rc, built, hermitized) == (1, 2, 1, False, False)
+
+
+class TestEdgeDocuments:
+    """Documents at the edges of the decoder and of the gates, each with its
+    exit code and, for exits 2 and 3, its one error line.  Edits of a chain
+    start from the Chebyshev N=8 artifact and the pair nlrpb2crypto writes."""
+
+    @pytest.fixture
+    def chain(self, capsys, tmp_path):
+        art, pair = tmp_path / "art.json", tmp_path / "pair.json"
+        assert main(["model", "chebyshev", "--n", "8", "-o", str(art)]) == 0
+        assert main(["convert", "nlrpb2crypto", str(art), "-o", str(pair)]) == 0
+        capsys.readouterr()
+        return json.loads(art.read_text()), json.loads(pair.read_text())
+
+    @staticmethod
+    def run(capsys, tmp_path, doc, *argv):
+        """(exit code, stderr) of ``argv`` with ``doc`` written to the input path."""
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))
+        rc = main([arg if arg != "DOC" else str(path) for arg in argv])
+        return rc, capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"n": 2, "eps": [0, 1], "phi": [[1, 0], [0, 1]], "eta": [[1, 0], [0, 1]]},
+            {"h_matrix": {"rows": 2, "cols": 2, "data": [1, 0, 0, 2]}, "theta": {"rows": 2, "cols": 2, "data": [1, 0, 0, 1]}},
+        ],
+        ids=["system", "pair"],
+    )
+    def test_json_integers_are_decoded(self, capsys, tmp_path, doc):
+        # no list starts with a float, so each takes the entry-by-entry walk
+        assert self.run(capsys, tmp_path, doc, "verify", "DOC") == (0, "")
+
+    def test_a_bool_among_floats_is_named(self, capsys, tmp_path):
+        doc = {"h_matrix": {"rows": 2, "cols": 2, "data": [1.0, True, 0.0, 2.0]}, "theta": serialize.matrix_to_dict(np.eye(2))}
+        assert self.run(capsys, tmp_path, doc, "verify", "DOC") == (3, "error: data[1] must be a number\n")
+
+    def test_eps_starting_with_an_integer(self, capsys, tmp_path, chain):
+        system = chain[0]["system"]
+        system["eps"][0] = 0
+        assert self.run(capsys, tmp_path, system, "verify", "DOC") == (0, "")
+        out = str(tmp_path / "pair.json")
+        assert self.run(capsys, tmp_path, system, "convert", "nlrpb2crypto", "DOC", "-o", out) == (0, "")
+
+    def test_theta_symmetric_only_within_tolerance(self, capsys, tmp_path, chain):
+        # theta[0][1] moved by 1e-14: the eigensolvers' symmetry rule takes its
+        # symmetrizing branch, and both roots of the conversion run on that theta
+        pair = chain[1]
+        pair["theta"]["data"][1] += 1e-14
+        back = tmp_path / "back.json"
+        assert self.run(capsys, tmp_path, pair, "verify", "DOC") == (0, "")
+        assert self.run(capsys, tmp_path, pair, "convert", "crypto2nlrpb", "DOC", "-o", str(back)) == (0, "")
+        assert main(["verify", str(back)]) == 0
+
+    def test_wrong_metric_is_not_converted(self, capsys, tmp_path, chain):
+        # (H, I): the wrong metric for a non-symmetric H
+        pair = dict(chain[1], theta=serialize.matrix_to_dict(np.eye(8)))
+        rc, err = self.run(capsys, tmp_path, pair, "convert", "crypto2nlrpb", "DOC")
+        assert rc == 2
+        assert err.startswith("error: hermitize: pair is not cryptohermitian (cryptohermiticity residual ")
+
+    def test_identity_pair_has_a_degenerate_spectrum(self, capsys, tmp_path):
+        # (I, I) at N = 4 passes the metric checks, so the roots' solve and h's solve
+        # run before spectrum_min_gap rejects the spectrum
+        pair = {"h_matrix": serialize.matrix_to_dict(np.eye(4)), "theta": serialize.matrix_to_dict(np.eye(4))}
+        rc, err = self.run(capsys, tmp_path, pair, "convert", "crypto2nlrpb", "DOC")
+        assert rc == 2
+        assert err.startswith("error: hermitize: degenerate spectrum, an eigenvalue gap below 1e-10 ")
+        assert self.run(capsys, tmp_path, pair, "verify", "DOC") == (1, "")
+
+    def test_zero_rule_gates_ignore_a_loose_tolerance(self, capsys, tmp_path, monkeypatch):
+        # eps[2] = eps[1] still fails eps_structure, and S_eta = diag(1e-300, 1)
+        # past the SPD gate still fails metric_spd, at NLRPB_TOL=1
+        monkeypatch.setenv("NLRPB_TOL", "1")
+        degenerate = {"n": 3, "eps": [0.0, 1.0, 1.0], "phi": np.eye(3).tolist(), "eta": np.eye(3).tolist()}
+        assert self.run(capsys, tmp_path, degenerate, "verify", "DOC") == (1, "")
+        ill_conditioned = {"n": 2, "eps": [0.0, 1.0], "phi": [[1e150, 0.0], [0.0, 1.0]], "eta": [[1e-150, 0.0], [0.0, 1.0]]}
+        assert self.run(capsys, tmp_path, ill_conditioned, "convert", "nlrpb2crypto", "DOC") == (
+            2,
+            "error: from_nlrpb: S_eta is not positive definite within the SPD gate (1e-12) "
+            "(metric_spd residual 1.000e-12 > 0)\n",
+        )
 
 
 AXIOMS = [
@@ -1294,6 +1392,13 @@ class TestPaperTablesCommand:
         lines = out.strip().splitlines()
         assert lines[0] == "section,check,residual,tolerance,pass"
         assert all(line.endswith(",true") for line in lines[1:])
+
+    @pytest.mark.parametrize("fmt", ["md", "csv"])
+    @pytest.mark.parametrize("table", ["n2", "n3", "n4", "n5", "two-param"])
+    def test_every_table_renders_as_text(self, capsys, table, fmt):
+        assert main(["paper-tables", table, "--format", fmt]) == 0
+        captured = capsys.readouterr()
+        assert captured.out and captured.err == ""
 
     def test_unknown_table_rejected(self, capsys):
         assert main(["paper-tables", "n9"]) == 2

@@ -27,6 +27,17 @@ Theta are exact, so the hermitized h is J (Wilkinson, The Algebraic
 Eigenvalue Problem, 1965, ch. 5; Parlett, The Symmetric Eigenvalue Problem,
 1998, ch. 7).  cond(Theta) = 4^(max j - min j) is the dial.  T1 and T2 on
 the pair side also run over these pairs.
+
+The system side has one too: W the Sylvester-Hadamard matrix of order
+N = 2^m (entries +-1, W W^T = N I), D_r and D_c diagonals of powers of two,
+phi = D_r W D_c and eta = D_r^-1 W D_c^-1 / N, and eps = 0, 1, ..., N-1.
+Every entry is +- a power of two, so phi eta^T = I holds exactly (a Fraction
+check proves it at N <= 8).  D_r is a pure gauge and D_c sets
+cond(phi) = max(D_c)/min(D_c) (Higham, Accuracy and Stability of Numerical
+Algorithms, 2nd ed., 2002, ch. 28).  Two more transforms are exact there:
+
+* T3, a power-of-two gauge: phi_n -> 2^g_n phi_n, eta_n -> 2^-g_n eta_n.
+* T4, eps -> 4^k eps: the ladder weights sqrt(eps_n) scale by 2^k.
 """
 
 import contextlib
@@ -35,6 +46,7 @@ import io
 import json
 import os
 import tempfile
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -81,6 +93,29 @@ SPD_CAP_SPAN = 19
 COHERENT_SPAN = 12
 # A few ulps of ||J|| <= 3: eigh's spectrum, shifted and shifted back, against eigvalsh(J).
 SPECTRUM_ATOL = 1e-13
+
+# Ranges of the exact system generator, stated as bounds.  Exponents of D_r and
+# D_c lie in [offset, offset + span] with |offset| <= EXACT_OFFSET, so phi, eta and
+# their frame operators stay far from overflow and underflow.
+SYSTEM_MAX_M = 4
+FRACTION_MAX_N = 8
+# verify passes up to these spans of the D_r and D_c exponents.  Past them it fails
+# exact data: a row span of 8 with a column span of 14 gives cond(S_eta) past the
+# SPD cap (the xfail cases below are the known failures).
+ROW_SPAN = 8
+COLUMN_SPAN = 12
+# Up to this span of both exponents, verify and nlrpb2crypto pass, the system that
+# crypto2nlrpb writes from nlrpb2crypto's pair passes verify, and T3 and T4 keep
+# the verdict.  At N = 4, row exponents (7, 0, 0, 1) with column exponents
+# (0, 3, 1, 0) already give a written system that verify rejects.
+COHERENT_SPAN = 4
+# T3's gauges span at most this, on bases with D_r = I and a column span of at
+# most COHERENT_SPAN; a gauge span of 6 with a column span of 7 fails.
+GAUGE_SPAN = 6
+# T4's powers of 4, eps_n = 4^k n.  Below -16 the gap 4^k falls under MIN_EPS_GAP;
+# at k = 5 commutator_gaps fails at N = 16 with a row span of 4.
+EPS_POWER_MIN = -16
+EPS_POWER_MAX = 4
 
 _SOURCES = st.tuples(st.integers(0, len(_MODEL_ARGVS) - 1), st.none() | st.integers(0, 2**32 - 1))
 
@@ -300,3 +335,176 @@ class TestExactPairs:
     )
     def test_verify_accepts_what_convert_writes_at_cond_1e12(self):
         _assert_verify_accepts_what_convert_writes(*_exact_pair(np.logspace(0, 6, 8), np.zeros(8))[1:])
+
+
+def _hadamard(m: int) -> np.ndarray:
+    """The Sylvester-Hadamard matrix of order 2^m."""
+    w = np.ones((1, 1))
+    for _ in range(m):
+        w = np.block([[w, w], [w, -w]])
+    return w
+
+
+def _exact_system(m: int, row_exponents, column_exponents) -> dict:
+    """The system document phi = D_r W D_c, eta = D_r^-1 W D_c^-1 / N, eps = 0, 1, ..., N-1."""
+    n = 2**m
+    r, c = 2.0 ** np.array(row_exponents, float), 2.0 ** np.array(column_exponents, float)
+    w = _hadamard(m)
+    phi, eta = r[:, None] * w * c, w / r[:, None] / c / n
+    return {"n": n, "eps": np.arange(n, dtype=float).tolist(), "phi": phi.tolist(), "eta": eta.tolist()}
+
+
+def _spread(n: int, span: int) -> list:
+    """n exponents spread evenly over [0, span]."""
+    return np.round(np.linspace(0, span, n)).astype(int).tolist()
+
+
+@st.composite
+def _exponents(draw, n, max_span):
+    offset = draw(st.integers(-EXACT_OFFSET, EXACT_OFFSET))
+    span = draw(st.integers(0, max_span))
+    return draw(st.lists(st.integers(offset, offset + span), min_size=n, max_size=n))
+
+
+@st.composite
+def _exact_systems(draw, row_span, column_span):
+    """``_exact_system`` with the D_r and D_c exponents spanning at most the given spans."""
+    m = draw(st.integers(1, SYSTEM_MAX_M))
+    return _exact_system(m, draw(_exponents(2**m, row_span)), draw(_exponents(2**m, column_span)))
+
+
+def _assert_exactly_biorthonormal(doc):
+    """phi eta^T = I in exact rational arithmetic."""
+    phi = [[Fraction(x) for x in row] for row in doc["phi"]]
+    eta = [[Fraction(x) for x in row] for row in doc["eta"]]
+    n = doc["n"]
+    assert [[sum(p * e for p, e in zip(phi[i], eta[j])) for j in range(n)] for i in range(n)] == np.eye(n).tolist()
+
+
+def _assert_verify_passes(doc):
+    assert _cli(("verify",), doc)[0] == 0
+
+
+def _known_failure(check, args, name, reason):
+    """A case of ``check`` on ``_exact_system(*args)`` that fails today, as a strict xfail."""
+    return pytest.param(check, args, id=name, marks=pytest.mark.xfail(strict=True, raises=AssertionError, reason=reason))
+
+
+def _assert_convert_output_verifies(doc):
+    """Whatever nlrpb2crypto writes with exit 0 passes verify, and so does what
+    crypto2nlrpb writes with exit 0 from that pair."""
+    rc, _, pair = _cli(("convert", "nlrpb2crypto"), doc, "pair.json")
+    if rc == 0:
+        assert _cli(("verify",), pair)[0] == 0
+        rc, _, system = _cli(("convert", "crypto2nlrpb"), pair, "system.json")
+        if rc == 0:
+            assert _cli(("verify",), system)[0] == 0
+
+
+def _assert_gauge_keeps_the_verdict(doc, gauge_exponents):
+    """T3 on a system document: rows phi_n by 2^g_n, eta_n by 2^-g_n."""
+    base = _nlrpb_commands(doc)
+    _assert_base_passes(base)
+    g = 2.0 ** np.array(gauge_exponents, float)[:, None]
+    gauged = _nlrpb_transformed(doc, lambda phi: phi * g, lambda eta: eta / g, lambda m: m)
+    assert _verdicts(_nlrpb_commands(gauged)) == _verdicts(base)
+
+
+def _assert_eps_scaling_keeps_the_verdict(doc, k):
+    """T4 on a system document: eps by 4^k."""
+    base = _nlrpb_commands(doc)
+    _assert_base_passes(base)
+    scaled = dict(doc, eps=[e * 4.0**k for e in doc["eps"]])
+    assert _verdicts(_nlrpb_commands(scaled)) == _verdicts(base)
+
+
+class TestExactSystems:
+    """The exact system generator: verdicts on bases with cond(phi) and the gauge as dials."""
+
+    @settings(deadline=None, max_examples=60)
+    @given(_exact_systems(ROW_SPAN, COLUMN_SPAN))
+    def test_verify_passes(self, doc):
+        if doc["n"] <= FRACTION_MAX_N:
+            _assert_exactly_biorthonormal(doc)
+        _assert_verify_passes(doc)
+
+    @settings(deadline=None, max_examples=40)
+    @given(_exact_systems(0, COHERENT_SPAN), st.data())
+    def test_power_of_two_gauge(self, doc, data):
+        _assert_gauge_keeps_the_verdict(doc, data.draw(_exponents(doc["n"], GAUGE_SPAN)))
+
+    @settings(deadline=None, max_examples=40)
+    @given(_exact_systems(COHERENT_SPAN, COHERENT_SPAN), st.integers(EPS_POWER_MIN, EPS_POWER_MAX))
+    def test_eps_by_a_power_of_four(self, doc, k):
+        _assert_eps_scaling_keeps_the_verdict(doc, k)
+
+    @settings(deadline=None, max_examples=40)
+    @given(_exact_systems(COHERENT_SPAN, COHERENT_SPAN))
+    def test_verify_accepts_what_convert_writes(self, doc):
+        _assert_convert_output_verifies(doc)
+
+    @pytest.mark.parametrize(
+        "check, args",
+        [
+            _known_failure(
+                _assert_verify_passes,
+                (3, _spread(8, 16), [0] * 8),
+                "verify-row-span-16",
+                "N=8, D_r exponents spread evenly over [0, 16], D_c = I: verify exits 1 "
+                "(p5_metric_duality 3.1e-8); nlrpb2crypto exits 2 (transform asymmetric, 1.6e-9)",
+            ),
+            _known_failure(
+                _assert_verify_passes,
+                (3, [0] * 7 + [8], [0] * 7 + [14]),
+                "verify-row-8-column-14",
+                "N=8, D_r exponents (0, ..., 0, 8), D_c exponents (0, ..., 0, 14): "
+                "verify exits 1 (p5_frame_bounds 9.6: cond(S_eta) is past the SPD cap)",
+            ),
+            _known_failure(
+                lambda doc: _assert_gauge_keeps_the_verdict(doc, _spread(8, 16)),
+                (3, [0] * 8, [0] * 8),
+                "gauge-span-16",
+                "N=8, D_r = D_c = I, a gauge spread evenly over [0, 16]: verify exits 0 before "
+                "the gauge and 1 after it (p5_metric_duality 3.1e-8)",
+            ),
+            _known_failure(
+                lambda doc: _assert_gauge_keeps_the_verdict(doc, [2, 0, 0, 0, 6, 0, 0, 0]),
+                (3, [0] * 8, [0] * 7 + [7]),
+                "gauge-6-column-7",
+                "N=8, D_r = I, D_c exponents (0, ..., 0, 7), gauge exponents (2, 0, 0, 0, 6, 0, 0, 0): "
+                "nlrpb2crypto exits 0 before the gauge and 2 after it (transform asymmetric, 1.8e-10)",
+            ),
+            _known_failure(
+                lambda doc: _assert_eps_scaling_keeps_the_verdict(doc, 8),
+                (4, [0] * 16, [0] * 16),
+                "eps-by-4-to-the-8",
+                "N=16, D_r = D_c = I, eps -> 4^8 eps: verify exits 0 before the scaling and 1 "
+                "after it (commutator_gaps 2.5e-10)",
+            ),
+            _known_failure(
+                lambda doc: _assert_eps_scaling_keeps_the_verdict(doc, 5),
+                (4, [0, 0, 1] + [0] * 10 + [4, 0, 0], [0] * 16),
+                "eps-by-4-to-the-5-row-span-4",
+                "N=16, D_r exponents 0 but 1 at row 2 and 4 at row 13, D_c = I, eps -> 4^5 eps: "
+                "verify exits 0 before the scaling and 1 after it (commutator_gaps 1.2e-10)",
+            ),
+            _known_failure(
+                _assert_convert_output_verifies,
+                (3, _spread(8, 12), [0] * 8),
+                "convert-row-span-12",
+                "N=8, D_r exponents spread evenly over [0, 12], D_c = I: nlrpb2crypto and "
+                "crypto2nlrpb exit 0, and verify exits 1 on the system crypto2nlrpb writes "
+                "(p5_metric_duality 2.5e-9)",
+            ),
+            _known_failure(
+                _assert_convert_output_verifies,
+                (2, [7, 0, 0, 1], [0, 3, 1, 0]),
+                "convert-n4",
+                "N=4, D_r exponents (7, 0, 0, 1), D_c exponents (0, 3, 1, 0): nlrpb2crypto and "
+                "crypto2nlrpb exit 0, and verify exits 1 on the system crypto2nlrpb writes "
+                "(p5_metric_duality 1.5e-10)",
+            ),
+        ],
+    )
+    def test_known_failures(self, check, args):
+        check(_exact_system(*args))

@@ -4,6 +4,7 @@ import itertools
 import json
 import math
 import os
+import stat
 import tempfile
 
 import numpy as np
@@ -375,6 +376,26 @@ class TestFileIO:
         serialize.write_document(path, {"a": 1})
         serialize.write_document(path, {"a": 2})
         assert serialize.load_document(path) == {"a": 2}
+
+    @pytest.mark.skipif(os.name != "posix", reason="needs POSIX permission bits")
+    @pytest.mark.parametrize(
+        "umask, existing, mode",
+        [(0o022, None, 0o644), (0o022, 0o640, 0o640), (0o077, None, 0o600), (0o077, 0o644, 0o644)],
+        ids=["new-022", "replaced-640", "new-077", "replaced-644-under-077"],
+    )
+    def test_mode_is_what_open_would_leave(self, tmp_path, umask, existing, mode):
+        path = tmp_path / "out.json"
+        if existing is not None:
+            path.write_text("{}")
+            path.chmod(existing)
+        saved = os.umask(umask)
+        try:
+            serialize.write_document(path, {"a": 1})
+            assert os.umask(umask) == umask  # write_document left the umask as it found it
+        finally:
+            os.umask(saved)
+        assert stat.S_IMODE(path.stat().st_mode) == mode
+        assert serialize.load_document(path) == {"a": 1}
 
     def test_malformed_json(self, tmp_path):
         path = tmp_path / "bad.json"
