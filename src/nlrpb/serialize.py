@@ -416,18 +416,31 @@ def check_destination(path) -> str:
     return directory
 
 
+_PROC_STATUS = "/proc/self/status"
+
+
+def _umask() -> int:
+    """The process umask.  Linux states it in /proc/self/status.  Elsewhere
+    os.umask reads it only by setting it, process-wide, so it is set back at
+    once: for that instant a file another thread creates is at worst
+    owner-only, and a mask another thread sets in between is lost."""
+    with contextlib.suppress(OSError, ValueError):
+        with open(_PROC_STATUS, encoding="ascii") as fh:
+            for line in fh:
+                if line.startswith("Umask:"):
+                    return int(line.split()[1], 8)
+    umask = os.umask(0o077)
+    os.umask(umask)
+    return umask
+
+
 def _written_mode(path) -> int:
     """The permission bits ``open(path, "w")`` would leave: a regular file
     keeps its own, and a new one gets 0o666 less the umask."""
     try:
         return os.stat(path).st_mode & 0o777
     except FileNotFoundError:
-        # os.umask reads the mask only by setting it, process-wide, so it is
-        # set back at once; 0o077 in between means a file that another thread
-        # creates meanwhile is at worst owner-only, never wider than asked
-        umask = os.umask(0o077)
-        os.umask(umask)
-        return 0o666 & ~umask
+        return 0o666 & ~_umask()
 
 
 def write_document(path, obj) -> None:
@@ -441,8 +454,8 @@ def write_document(path, obj) -> None:
         mode = _written_mode(path)
         fd, tmp = tempfile.mkstemp(prefix=".nlrpb-", suffix=".tmp", dir=directory)
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            os.fchmod(fd, mode)  # mkstemp creates it owner-only (0o600)
             fh.write(text)
+        os.chmod(tmp, mode)  # mkstemp creates it owner-only (0o600)
         os.replace(tmp, path)
         tmp = None
     except OSError as exc:  # name the target, not the temp file's random name

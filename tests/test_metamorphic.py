@@ -108,9 +108,9 @@ COLUMN_SPAN = 12
 # crypto2nlrpb writes from nlrpb2crypto's pair passes verify, and T3 and T4 keep
 # the verdict.  At N = 4, row exponents (7, 0, 0, 1) with column exponents
 # (0, 3, 1, 0) already give a written system that verify rejects.
-COHERENT_SPAN = 4
+SYSTEM_COHERENT_SPAN = 4
 # T3's gauges span at most this, on bases with D_r = I and a column span of at
-# most COHERENT_SPAN; a gauge span of 6 with a column span of 7 fails.
+# most SYSTEM_COHERENT_SPAN; a gauge span of 6 with a column span of 7 fails.
 GAUGE_SPAN = 6
 # T4's powers of 4, eps_n = 4^k n.  Below -16 the gap 4^k falls under MIN_EPS_GAP;
 # at k = 5 commutator_gaps fails at N = 16 with a row span of 4.
@@ -429,17 +429,17 @@ class TestExactSystems:
         _assert_verify_passes(doc)
 
     @settings(deadline=None, max_examples=40)
-    @given(_exact_systems(0, COHERENT_SPAN), st.data())
+    @given(_exact_systems(0, SYSTEM_COHERENT_SPAN), st.data())
     def test_power_of_two_gauge(self, doc, data):
         _assert_gauge_keeps_the_verdict(doc, data.draw(_exponents(doc["n"], GAUGE_SPAN)))
 
     @settings(deadline=None, max_examples=40)
-    @given(_exact_systems(COHERENT_SPAN, COHERENT_SPAN), st.integers(EPS_POWER_MIN, EPS_POWER_MAX))
+    @given(_exact_systems(SYSTEM_COHERENT_SPAN, SYSTEM_COHERENT_SPAN), st.integers(EPS_POWER_MIN, EPS_POWER_MAX))
     def test_eps_by_a_power_of_four(self, doc, k):
         _assert_eps_scaling_keeps_the_verdict(doc, k)
 
     @settings(deadline=None, max_examples=40)
-    @given(_exact_systems(COHERENT_SPAN, COHERENT_SPAN))
+    @given(_exact_systems(SYSTEM_COHERENT_SPAN, SYSTEM_COHERENT_SPAN))
     def test_verify_accepts_what_convert_writes(self, doc):
         _assert_convert_output_verifies(doc)
 

@@ -397,6 +397,19 @@ class TestFileIO:
         assert stat.S_IMODE(path.stat().st_mode) == mode
         assert serialize.load_document(path) == {"a": 1}
 
+    @pytest.mark.skipif(os.name != "posix", reason="needs POSIX permission bits")
+    @pytest.mark.parametrize("status", ["proc", "missing"])
+    def test_umask_read_leaves_it_unchanged(self, tmp_path, monkeypatch, status):
+        # /proc/self/status where it exists, else the set-and-restore of os.umask
+        if status == "missing" or not os.path.exists(serialize._PROC_STATUS):
+            monkeypatch.setattr(serialize, "_PROC_STATUS", str(tmp_path / "missing"))
+        saved = os.umask(0o027)
+        try:
+            assert serialize._umask() == 0o027
+            assert os.umask(0o027) == 0o027
+        finally:
+            os.umask(saved)
+
     def test_malformed_json(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{not json")
