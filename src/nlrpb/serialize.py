@@ -80,9 +80,10 @@ nlrpb passes neither.
 
 Writes go to a temp file next to the target followed by os.replace, so
 readers never observe partial documents.  The written file has the
-permission bits ``open(path, "w")`` would leave: a regular file it
-replaces keeps its own, and a new one gets 0o666 less the umask (0o644
-under the usual umask 0o022).  The target is judged as given,
+permission bits ``open(path, "w")`` would leave: the temp file is created
+with mode 0o666 and the kernel applies the umask (0o644 under the usual
+umask 0o022), and a regular file being replaced keeps its own, copied
+with ``os.chmod``.  The target is judged as given,
 never normalized, by ``check_destination``, which returns the directory
 the temp file goes in.  The CLI applies it before computing a document,
 so a target that cannot be written is refused without the work.
@@ -99,7 +100,6 @@ import math
 import os
 import re
 import stat
-import tempfile
 
 import numpy as np
 import orjson
@@ -220,6 +220,14 @@ def matrix_from_dict(doc) -> np.ndarray:
     return data.reshape(rows, cols)
 
 
+def _named_matrix(doc, name: str) -> np.ndarray:
+    """``matrix_from_dict``, with ``name`` before the message of its SchemaError."""
+    try:
+        return matrix_from_dict(doc)
+    except SchemaError as exc:
+        raise SchemaError(f"{name}: {exc}") from exc
+
+
 def system_to_dict(sys: BiorthogonalSystem) -> dict:
     return {
         "n": int(sys.n),
@@ -248,8 +256,8 @@ def crypto_to_dict(pair: CryptoPair) -> dict:
 def crypto_from_dict(doc) -> CryptoPair:
     _require(isinstance(doc, dict), "pair document must be an object")
     _require({"h_matrix", "theta"} <= set(doc), "pair document needs h_matrix/theta")
-    h = matrix_from_dict(doc["h_matrix"])
-    t = matrix_from_dict(doc["theta"])
+    h = _named_matrix(doc["h_matrix"], "h_matrix")
+    t = _named_matrix(doc["theta"], "theta")
     _require(h.shape[0] == h.shape[1] and h.shape == t.shape, "pair matrices must be square and of equal size")
     return CryptoPair(h, t)
 
@@ -291,12 +299,7 @@ def model_artifact_from_dict(doc):
             _require(key not in mats_doc, f"format-{_ARTIFACT_FORMAT} matrices must not include {key!r}")
     else:
         keys += _FRAME_OPERATORS
-    matrices = {}
-    for k, v in mats_doc.items():
-        try:
-            matrices[k] = matrix_from_dict(v)
-        except SchemaError as exc:
-            raise SchemaError(f"matrices[{k!r}]: {exc}") from exc
+    matrices = {k: _named_matrix(v, f"matrices[{k!r}]") for k, v in mats_doc.items()}
     for key in keys:
         _require(key in matrices, f"matrices must include {key!r}")
         _require(matrices[key].shape == (sys.n, sys.n), f"matrices[{key!r}] must be {sys.n} x {sys.n}")
@@ -416,46 +419,25 @@ def check_destination(path) -> str:
     return directory
 
 
-_PROC_STATUS = "/proc/self/status"
-
-
-def _umask() -> int:
-    """The process umask.  Linux states it in /proc/self/status.  Elsewhere
-    os.umask reads it only by setting it, process-wide, so it is set back at
-    once: for that instant a file another thread creates is at worst
-    owner-only, and a mask another thread sets in between is lost."""
-    with contextlib.suppress(OSError, ValueError):
-        with open(_PROC_STATUS, encoding="ascii") as fh:
-            for line in fh:
-                if line.startswith("Umask:"):
-                    return int(line.split()[1], 8)
-    umask = os.umask(0o077)
-    os.umask(umask)
-    return umask
-
-
-def _written_mode(path) -> int:
-    """The permission bits ``open(path, "w")`` would leave: a regular file
-    keeps its own, and a new one gets 0o666 less the umask."""
-    try:
-        return os.stat(path).st_mode & 0o777
-    except FileNotFoundError:
-        return 0o666 & ~_umask()
-
-
 def write_document(path, obj) -> None:
-    """Serialize obj to path via a temp file and atomic rename.  The file gets
-    the permission bits ``open(path, "w")`` would leave.  A target
+    """Serialize obj to path via a temp file and atomic rename.  The kernel
+    applies the umask to a new file as for ``open(path, "w")``, and a regular
+    file being replaced keeps its permission bits.  A target
     ``check_destination`` refuses is left untouched; every OSError names path."""
     directory = check_destination(path)
     text = dumps(obj) + "\n"
     tmp = None
     try:
-        mode = _written_mode(path)
-        fd, tmp = tempfile.mkstemp(prefix=".nlrpb-", suffix=".tmp", dir=directory)
+        mode = None
+        with contextlib.suppress(FileNotFoundError):
+            mode = os.stat(path).st_mode & 0o777
+        name = os.path.join(directory, f".nlrpb-{os.urandom(8).hex()}.tmp")
+        fd = os.open(name, os.O_WRONLY | os.O_CREAT | os.O_EXCL | getattr(os, "O_BINARY", 0), 0o666)
+        tmp = name
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             fh.write(text)
-        os.chmod(tmp, mode)  # mkstemp creates it owner-only (0o600)
+        if mode is not None:
+            os.chmod(tmp, mode)
         os.replace(tmp, path)
         tmp = None
     except OSError as exc:  # name the target, not the temp file's random name

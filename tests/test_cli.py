@@ -331,13 +331,14 @@ class TestUnusableDestination:
         (tmp_path / "real" / "sub").mkdir(parents=True)
         (tmp_path / "link").symlink_to(tmp_path / "real" / "sub")
         monkeypatch.chdir(tmp_path)
-        dirs, real_mkstemp = [], tempfile.mkstemp
+        dirs, real_open = [], os.open
 
-        def mkstemp(**kwargs):
-            dirs.append(kwargs["dir"])
-            return real_mkstemp(**kwargs)
+        def open_(path, *args):  # records the directory of each temp file write_document creates
+            if os.path.basename(path).startswith(".nlrpb-"):
+                dirs.append(os.path.dirname(path))
+            return real_open(path, *args)
 
-        monkeypatch.setattr(serialize.tempfile, "mkstemp", mkstemp)
+        monkeypatch.setattr(serialize.os, "open", open_)
         argv = ["model", "chebyshev", "--n", "2", "-o"]
         assert main([*argv, "expected.json"]) == 0
         assert main([*argv, "link/../out.json"]) == 0
@@ -781,9 +782,11 @@ class TestEdgeDocuments:
         # no list starts with a float, so each takes the entry-by-entry walk
         assert self.run(capsys, tmp_path, doc, "verify", "DOC") == (0, "")
 
-    def test_a_bool_among_floats_is_named(self, capsys, tmp_path):
-        doc = {"h_matrix": {"rows": 2, "cols": 2, "data": [1.0, True, 0.0, 2.0]}, "theta": serialize.matrix_to_dict(np.eye(2))}
-        assert self.run(capsys, tmp_path, doc, "verify", "DOC") == (3, "error: data[1] must be a number\n")
+    @pytest.mark.parametrize("key", ["h_matrix", "theta"])
+    def test_a_bool_among_floats_is_named(self, capsys, tmp_path, key):
+        doc = {"h_matrix": serialize.matrix_to_dict(np.eye(2)), "theta": serialize.matrix_to_dict(np.eye(2))}
+        doc[key] = {"rows": 2, "cols": 2, "data": [1.0, True, 0.0, 2.0]}
+        assert self.run(capsys, tmp_path, doc, "verify", "DOC") == (3, f"error: {key}: data[1] must be a number\n")
 
     def test_eps_starting_with_an_integer(self, capsys, tmp_path, chain):
         system = chain[0]["system"]

@@ -1,11 +1,11 @@
 import dataclasses
 import datetime
+import errno
 import itertools
 import json
 import math
 import os
 import stat
-import tempfile
 
 import numpy as np
 import pytest
@@ -397,18 +397,32 @@ class TestFileIO:
         assert stat.S_IMODE(path.stat().st_mode) == mode
         assert serialize.load_document(path) == {"a": 1}
 
-    @pytest.mark.skipif(os.name != "posix", reason="needs POSIX permission bits")
-    @pytest.mark.parametrize("status", ["proc", "missing"])
-    def test_umask_read_leaves_it_unchanged(self, tmp_path, monkeypatch, status):
-        # /proc/self/status where it exists, else the set-and-restore of os.umask
-        if status == "missing" or not os.path.exists(serialize._PROC_STATUS):
-            monkeypatch.setattr(serialize, "_PROC_STATUS", str(tmp_path / "missing"))
-        saved = os.umask(0o027)
-        try:
-            assert serialize._umask() == 0o027
-            assert os.umask(0o027) == 0o027
-        finally:
-            os.umask(saved)
+    @pytest.mark.parametrize("existing", [False, True], ids=["new", "replaced"])
+    def test_umask_is_left_to_the_kernel(self, tmp_path, monkeypatch, existing):
+        # os.umask reads the mask only by setting it, process-wide
+        def umask(mask):
+            raise AssertionError("write_document called os.umask")
+
+        path = tmp_path / "out.json"
+        if existing:
+            path.write_text("{}")
+        monkeypatch.setattr(os, "umask", umask)
+        serialize.write_document(path, {"a": 1})
+        assert serialize.load_document(path) == {"a": 1}
+
+    @pytest.mark.parametrize("existing", [False, True], ids=["new", "replaced"])
+    def test_temp_name_collision_names_the_target(self, tmp_path, monkeypatch, existing):
+        # one attempt: a file already holding the temp name is an error, and is left as it was
+        (tmp_path / f".nlrpb-{bytes(8).hex()}.tmp").write_text("not ours")
+        path = tmp_path / "out.json"
+        if existing:
+            path.write_text("{}")
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        monkeypatch.setattr(os, "urandom", bytes)  # bytes(8): eight zero bytes
+        with pytest.raises(OSError) as raised:
+            serialize.write_document(path, {"a": 1})
+        assert raised.value.errno == errno.EEXIST and raised.value.filename == str(path)
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
     def test_malformed_json(self, tmp_path):
         path = tmp_path / "bad.json"
@@ -477,7 +491,7 @@ class TestCheckDestination:
         # The error the unchecked write gave: creating the temp file failed.
         target = tmp_path / "missing" / "out.json"
         with pytest.raises(OSError) as created:
-            tempfile.mkstemp(dir=target.parent)
+            os.open(target.parent / ".nlrpb-0.tmp", os.O_WRONLY | os.O_CREAT | os.O_EXCL)
         with pytest.raises(OSError) as checked:
             serialize.check_destination(target)
         assert (checked.value.errno, checked.value.strerror) == (created.value.errno, created.value.strerror)

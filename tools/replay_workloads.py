@@ -12,16 +12,20 @@ process, with BLAS pinned to one thread.  Each command prints one line::
     <seed> <workload> <group> <exit code> <sha256> <argv>
 
 The hash covers stdout (the JSON ``"timestamp"`` and the Markdown
-``- timestamp:`` line masked), stderr and the bytes of the ``-o`` file.  The
-temporary directory is masked to ``<tmp>`` in all of them and in argv, so two
-runs print the same lines whenever the program's outputs are the same.
+``- timestamp:`` line masked), stderr, and the bytes and permission bits of
+the ``-o`` file.  The temporary directory is masked to ``<tmp>`` in all of
+them and in argv, so two runs print the same lines whenever the program's
+outputs are the same.
 ``--src`` imports ``nlrpb`` from another tree, so two trees compare with::
 
     python tools/replay_workloads.py --src ../parent/src > a.txt
     python tools/replay_workloads.py > b.txt
     diff a.txt b.txt
 
-Exits 1 if a command raised instead of returning an exit code.
+Each command's verdict is judged by ``workloads.check``: its exit code, its
+report's pass flag and, where the workload gives one, its spectrum.  A wrong
+verdict is printed to stderr, so stdout stays comparable between trees.
+Exits 1 if a command raised or gave a wrong verdict.
 """
 
 from __future__ import annotations
@@ -32,6 +36,7 @@ import hashlib
 import io
 import os
 import re
+import stat
 import sys
 import tempfile
 import traceback
@@ -55,18 +60,22 @@ def _run(main, argv):
 
 
 def _digest(cmd, stdout, stderr, tmp):
-    """SHA-256 of the masked stdout, stderr and ``-o`` file bytes."""
+    """SHA-256 of the masked stdout, stderr and ``-o`` file bytes and mode."""
     h = hashlib.sha256()
     h.update(_TIMESTAMP.sub(r"\1<masked>", stdout.replace(tmp, "<tmp>")).encode())
     h.update(b"\0" + stderr.replace(tmp, "<tmp>").encode() + b"\0")
     if "-o" in cmd.argv:
         path = Path(cmd.argv[cmd.argv.index("-o") + 1])
-        h.update(path.read_bytes().replace(tmp.encode(), b"<tmp>") if path.is_file() else b"<no file>")
+        if path.is_file():
+            h.update(path.read_bytes().replace(tmp.encode(), b"<tmp>"))
+            h.update(b"\0%o" % stat.S_IMODE(path.stat().st_mode))
+        else:
+            h.update(b"<no file>")
     return h.hexdigest()
 
 
 def replay(seeds, workloads, main) -> bool:
-    """Print one line per command; False if any command raised."""
+    """Print one line per command; False if any command raised or gave a wrong verdict."""
     ok = True
     for seed in seeds:
         for name, build in workloads.BUILDERS.items():
@@ -75,8 +84,11 @@ def replay(seeds, workloads, main) -> bool:
                 for g, group in enumerate(groups):
                     for cmd in group:
                         rc, stdout, stderr = _run(main, cmd.argv)
-                        ok &= rc is not None
                         argv = " ".join(cmd.argv).replace(tmp, "<tmp>")
+                        wrong = workloads.check(cmd, rc, stdout)
+                        if wrong is not None:
+                            print(f"wrong verdict: {seed} {name} {g} {argv}: {wrong}", file=sys.stderr)
+                        ok &= wrong is None  # a command that raised has exit code None, which is wrong
                         print(f"{seed} {name} {g} {rc} {_digest(cmd, stdout, stderr, tmp)} {argv}")
     return ok
 
