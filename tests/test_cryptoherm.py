@@ -1,12 +1,9 @@
-import contextlib
-import io
 import math
 
 import numpy as np
 import pytest
 
 from nlrpb import serialize
-from nlrpb.cli import main
 from nlrpb.cryptoherm import (
     ROUNDTRIP_TOL,
     CryptoPair,
@@ -35,6 +32,8 @@ from nlrpb.linalg import (
 from nlrpb.models import chebyshev_model, chebyshev_paper_normalization, two_param_model
 from nlrpb.pseudoboson import build_metrics, build_system, gap_deficit, rescale
 from nlrpb.report import Check, default_tolerance, judge
+
+from cli_runner import run_cli
 
 
 S3 = math.sqrt(3.0)
@@ -120,17 +119,16 @@ class TestVerifyChwrt:
         with pytest.raises(ValidationError):
             verify_chwrt(np.eye(2), np.eye(3))
 
-    def test_one_eigenvalue_solve_of_the_symmetric_part(self, monkeypatch):
+    def test_one_eigenvalue_solve_of_the_symmetric_part(self, eigensolves):
         asymmetric = np.array([[2.0, 0.5, 0.1], [0.3, 1.0, 0.0], [0.1, 0.0, 3.0]])
         within_tolerance = np.array([[2.0, 0.3 + 1e-14, 0.1], [0.3, 1.0, 0.0], [0.1, 0.0, 3.0]])
-        eigvalsh = np.linalg.eigvalsh
         for theta, passes in ((asymmetric, False), (within_tolerance, True)):
-            solved = []
-            monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: solved.append(a.copy()) or eigvalsh(a))
+            eigensolves.clear()
             rep = verify_chwrt(np.eye(3), theta)
-            assert len(solved) == 1
-            assert np.array_equal(solved[0], (theta + theta.T) / 2.0)
-            assert rep["metric_spd"].residual == max(0.0, symmetry_excess(theta), spd_deficit(eigvalsh(solved[0])))
+            ((name, solved),) = eigensolves
+            assert name == "eigvalsh"
+            assert np.array_equal(solved, (theta + theta.T) / 2.0)
+            assert rep["metric_spd"].residual == max(0.0, symmetry_excess(theta), spd_deficit(np.linalg.eigvalsh(solved)))
             assert rep["metric_spd"].passed is passes
 
 
@@ -193,8 +191,7 @@ def written_pair(n, tmp_path):
     nu = np.exp(np.random.default_rng(n).uniform(np.log(0.5), np.log(2.0), n))
     src, dst = tmp_path / "sys.json", tmp_path / "pair.json"
     serialize.write_document(src, serialize.system_to_dict(rescale(sys, nu)))
-    with contextlib.redirect_stdout(io.StringIO()):
-        assert main(["convert", "nlrpb2crypto", str(src), "-o", str(dst)]) == 0
+    assert run_cli(["convert", "nlrpb2crypto", src, "-o", dst]).rc == 0
     return serialize.crypto_from_dict(serialize.load_document(dst))
 
 
@@ -289,39 +286,25 @@ class TestHermitizedChecksBitForBit:
         assert str(exc.value) == text
 
 
-def count_solves(monkeypatch):
-    """Counts of ``numpy.linalg.eigvalsh``/``eigh`` calls from now on, by name."""
-    counts = {"eigvalsh": 0, "eigh": 0}
-    for name in counts:
-
-        def solve(*args, _name=name, _original=getattr(np.linalg, name), **kwargs):
-            counts[_name] += 1
-            return _original(*args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, name, solve)
-    return counts
-
-
 class TestPairCache:
     """A pair measures Theta once and holds no tolerance: judged again at any
     tolerance, it gives a fresh pair's verdict and solves only h."""
 
-    def test_one_pair_judged_at_several_tolerances(self, tmp_path, monkeypatch):
+    def test_one_pair_judged_at_several_tolerances(self, tmp_path, eigensolves):
         pair = written_pair(5, tmp_path)
         tolerances = (1e-30, None, 1.0)
         fresh = {tol: hermitized_checks(CryptoPair(pair.h_matrix, pair.theta), tol) for tol in tolerances}
         for tol in tolerances:
             hermitized_checks(pair, tol)
-        counts = count_solves(monkeypatch)
         for tol in tolerances:
-            counts.update(eigvalsh=0, eigh=0)
+            eigensolves.clear()
             checks, hs = hermitized_checks(pair, tol)
             ref_checks, ref_hs = fresh[tol]
             assert [(c.name, c.residual, c.tolerance, c.passed) for c in checks] == [
                 (c.name, c.residual, c.tolerance, c.passed) for c in ref_checks
             ]
             assert (hs is None) is (ref_hs is None)
-            assert counts == {"eigvalsh": 0, "eigh": 0 if hs is None else 1}, tol
+            assert [name for name, _ in eigensolves] == ([] if hs is None else ["eigh"]), tol
         assert fresh[1e-30][1] is None and fresh[1.0][1] is not None
 
 
@@ -330,7 +313,7 @@ class TestOneSpdGate:
     solve is not failed again by the roots' own eigh, whose lambda_min may round
     below the gate.  Such a pair is judged (exit 0 or 1), not an error (exit 2)."""
 
-    def test_roots_solve_below_the_gate_is_not_an_error(self, tmp_path, monkeypatch, capsys):
+    def test_roots_solve_below_the_gate_is_not_an_error(self, tmp_path, monkeypatch):
         pair = written_pair(5, tmp_path)
         path = tmp_path / "pair.json"
         original, nudges = np.linalg.eigh, []
@@ -344,9 +327,7 @@ class TestOneSpdGate:
             return lam, v
 
         monkeypatch.setattr(np.linalg, "eigh", nudged)
-        capsys.readouterr()
-        assert main(["verify", str(path)]) in (0, 1)
-        assert capsys.readouterr().err == ""
+        assert run_cli(["verify", path]).rc in (0, 1)
         assert len(nudges) == 1
 
 

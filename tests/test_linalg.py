@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from nlrpb import linalg, serialize
-from nlrpb.cli import main
 from nlrpb.cryptoherm import from_nlrpb, verify_chwrt
 from nlrpb.errors import ConvergenceError, ValidationError
 from nlrpb.linalg import (
@@ -27,6 +26,8 @@ from nlrpb.linalg import (
 from nlrpb.models import chebyshev_model
 from nlrpb.pseudoboson import build_metrics, rescale
 from nlrpb.report import default_tolerance
+
+from cli_runner import run_cli
 
 
 def random_symmetric(n, seed):
@@ -293,7 +294,7 @@ class TestJacobiEigh:
         with pytest.raises(ValidationError, match="^jacobi_eigh: "):
             jacobi_eigh(bad)
 
-    def test_lapack_failure_is_convergence_error(self, monkeypatch, tmp_path, capsys):
+    def test_lapack_failure_is_convergence_error(self, monkeypatch, tmp_path):
         path = tmp_path / "pair.json"
         serialize.write_document(path, serialize.crypto_to_dict(from_nlrpb(chebyshev_model(4)[1])))
 
@@ -303,8 +304,9 @@ class TestJacobiEigh:
         monkeypatch.setattr(np.linalg, "eigh", failing_eigh)
         with pytest.raises(ConvergenceError):
             jacobi_eigh(random_symmetric(4, seed=3))
-        assert main(["verify", str(path)]) == 2
-        assert capsys.readouterr().err.startswith("error: jacobi_eigh: ")
+        rc, _, err, _ = run_cli(["verify", path])
+        assert rc == 2
+        assert err.startswith("error: jacobi_eigh: ")
 
     def test_results_read_only(self):
         eig = jacobi_eigh(np.eye(2))
@@ -355,7 +357,7 @@ class TestSymmetricPartEigenvalues:
             assert excess == symmetry_excess(skew) <= 0.0
             assert lam.tobytes() == np.linalg.eigvalsh(sym).tobytes()
 
-    def test_lapack_failure_is_convergence_error(self, monkeypatch, tmp_path, capsys):
+    def test_lapack_failure_is_convergence_error(self, monkeypatch, tmp_path):
         path = tmp_path / "system.json"
         serialize.write_document(path, serialize.system_to_dict(chebyshev_model(4)[1]))
 
@@ -365,8 +367,9 @@ class TestSymmetricPartEigenvalues:
         monkeypatch.setattr(np.linalg, "eigvalsh", failing_eigvalsh)
         with pytest.raises(ConvergenceError):
             symmetric_part_eigenvalues(random_symmetric(4, seed=3))
-        assert main(["verify", str(path)]) == 2
-        assert capsys.readouterr().err.startswith("error: symmetric_part_eigenvalues: ")
+        rc, _, err, _ = run_cli(["verify", path])
+        assert rc == 2
+        assert err.startswith("error: symmetric_part_eigenvalues: ")
 
     def test_input_is_not_modified(self):
         a = random_symmetric(5, seed=4)
@@ -456,20 +459,13 @@ class TestExactSymmetry:
         ],
         ids=["skew-1e-14", "signed-zero"],
     )
-    def test_asymmetric_within_tolerance_is_symmetrized(self, monkeypatch, a):
+    def test_asymmetric_within_tolerance_is_symmetrized(self, eigensolves, a):
         # 0.0 == -0.0, but symmetric_part makes the pair +0.0, and LAPACK's
         # vectors can carry the sign of a zero input: exactness compares bits.
         assert symmetry_excess(a) <= 0.0 and not np.array_equal(a.view(np.int64), a.T.view(np.int64))
-        solved = []
-
-        def recording(solve):
-            return lambda m: solved.append(m.copy()) or solve(m)
-
-        for name in ("eigh", "eigvalsh"):
-            monkeypatch.setattr(np.linalg, name, recording(getattr(np.linalg, name)))
         solver_bytes(a)
-        assert len(solved) == len(SOLVERS)
-        assert all(m.tobytes() == symmetric_part(a).tobytes() for m in solved)
+        assert len(eigensolves) == len(SOLVERS)
+        assert all(m.tobytes() == symmetric_part(a).tobytes() for _, m in eigensolves)
 
     def test_asymmetric_beyond_tolerance_raises_or_returns_the_excess(self):
         a = random_spd(4, seed=6) + np.triu(np.full((4, 4), 1e-9), 1)
@@ -548,29 +544,27 @@ class TestSpdRootsOneSolve:
     that two solves of the same matrix gave, and the public ones."""
 
     @staticmethod
-    def assert_one_solve_matches(monkeypatch, a):
+    def assert_one_solve_matches(eigensolves, a):
         sym = linalg._symmetrized(a)
         expected = two_solve_roots(sym)
         public = (spd_sqrt(a), spd_inv_sqrt(a))
-        solves = []
-        eigh = np.linalg.eigh
-        monkeypatch.setattr(np.linalg, "eigh", lambda m: solves.append(m) or eigh(m))
+        eigensolves.clear()
         with np.errstate(over="raise", invalid="raise", divide="raise"):  # the CLI's setting
             roots = linalg._spd_roots(sym, "spd_sqrt")
-        assert len(solves) == 1
+        assert [name for name, _ in eigensolves] == ["eigh"]
         for got, want, pub in zip(roots, expected, public):
             assert got.tobytes() == want.tobytes() == pub.tobytes()
 
     @pytest.mark.parametrize("n", range(2, 65))
-    def test_gauged_chebyshev_metric(self, monkeypatch, n):
-        self.assert_one_solve_matches(monkeypatch, gauged_chebyshev_s_eta(n, seed=n))
+    def test_gauged_chebyshev_metric(self, eigensolves, n):
+        self.assert_one_solve_matches(eigensolves, gauged_chebyshev_s_eta(n, seed=n))
 
     @pytest.mark.parametrize("n", [4, 17, 32])
-    def test_skew_within_tolerance_takes_the_symmetric_part(self, monkeypatch, n):
+    def test_skew_within_tolerance_takes_the_symmetric_part(self, eigensolves, n):
         a = gauged_chebyshev_s_eta(n, seed=n) + np.triu(np.full((n, n), 1e-14), 1)
         assert 0.0 < frobenius_norm(a - a.T) and symmetry_excess(a) <= 0.0
         assert linalg._symmetrized(a).tobytes() == symmetric_part(a).tobytes()
-        self.assert_one_solve_matches(monkeypatch, a)
+        self.assert_one_solve_matches(eigensolves, a)
 
 
 class TestSpdSqrt:

@@ -40,9 +40,7 @@ Algorithms, 2nd ed., 2002, ch. 28).  Two more transforms are exact there:
 * T4, eps -> 4^k eps: the ladder weights sqrt(eps_n) scale by 2^k.
 """
 
-import contextlib
 import functools
-import io
 import json
 import os
 import tempfile
@@ -54,10 +52,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nlrpb import serialize
-from nlrpb.cli import main
 from nlrpb.cryptoherm import CryptoPair, hermitize
 from nlrpb.linalg import SPD_GATE
 from nlrpb.pseudoboson import rescale
+
+from cli_runner import run_cli
 
 _MODEL_ARGVS = (
     *(("chebyshev", "--n", str(n)) for n in (2, 3, 4, 5, 6, 7, 8, 16, 32)),
@@ -131,15 +130,12 @@ def _cli(argv, doc=None, out_name=None):
             serialize.write_document(argv[-1], doc)
         if out_name is not None:
             argv += ["-o", os.path.join(tmp, out_name)]
-        out = io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
-            rc = main(argv)
+        rc, _, _, report = run_cli(argv)
         written = serialize.load_document(argv[-1]) if out_name is not None and rc == 0 else None
     checks = []
-    if out.getvalue():
-        for sec in json.loads(out.getvalue())["sections"]:
-            if sec["kind"] == "checks":
-                checks += [(c["name"], float(c["residual"]).hex(), c["pass"]) for c in sec["checks"]]
+    for sec in report["sections"] if report else ():
+        if sec["kind"] == "checks":
+            checks += [(c["name"], float(c["residual"]).hex(), c["pass"]) for c in sec["checks"]]
     return rc, tuple(checks), written
 
 

@@ -1,14 +1,13 @@
 """The tolerance table: every check name the package emits, and the tolerance
 ``report.judge`` gives it with no tolerance, at 1e-6 and at 1.0."""
 
-import json
-
 import pytest
 
 from nlrpb import serialize
-from nlrpb.cli import main
 from nlrpb.pseudoboson import build_metrics
 from nlrpb.report import ROUNDTRIP_TOL, TOLERANCE_RULES, judge
+
+from cli_runner import run_cli
 
 # Each check name and its rule.  Zero: structural gates, deficits held to 0 at
 # any tolerance.  Round trip: ROUNDTRIP_TOL unless a tolerance is given.  Flat:
@@ -74,21 +73,20 @@ def test_judge_keeps_the_order_given():
 
 
 @pytest.mark.parametrize("env", [None, "1e-6", "1"])
-def test_every_name_the_cli_emits(tmp_path, capsys, monkeypatch, env):
+def test_every_name_the_cli_emits(tmp_path, monkeypatch, env):
     """``model``, ``verify`` on each kind of document and both conversions emit
     exactly the twenty names, each at the tolerance its rule gives at N = 16."""
     if env is None:
         monkeypatch.delenv("NLRPB_TOL", raising=False)
     else:
         monkeypatch.setenv("NLRPB_TOL", env)
-    art, art1, pair, system = (str(tmp_path / f"{name}.json") for name in ("art", "art1", "pair", "system"))
-    assert main(["model", "chebyshev", "--n", "16", "-o", art]) == 0
+    art, art1, pair, system = (tmp_path / f"{name}.json" for name in ("art", "art1", "pair", "system"))
+    assert run_cli(["model", "chebyshev", "--n", "16", "-o", art]).rc == 0
     doc = serialize.load_document(art)
     del doc["format"]
     metrics = build_metrics(serialize.system_from_dict(doc["system"]))
     doc["matrices"].update(s_phi=serialize.matrix_to_dict(metrics.s_phi), s_eta=serialize.matrix_to_dict(metrics.s_eta))
     serialize.write_document(art1, doc)
-    capsys.readouterr()
     emitted = {}
     for argv in (
         ["verify", art1],
@@ -97,8 +95,9 @@ def test_every_name_the_cli_emits(tmp_path, capsys, monkeypatch, env):
         ["convert", "crypto2nlrpb", pair, "-o", system],
         ["verify", system],
     ):
-        assert main(argv) == 0, argv
-        for sec in json.loads(capsys.readouterr().out)["sections"]:
+        rc, _, _, report = run_cli(argv)
+        assert rc == 0, argv
+        for sec in report["sections"]:
             if sec["kind"] == "checks":
                 emitted.update((c["name"], c["tolerance"]) for c in sec["checks"])
     if env is None:

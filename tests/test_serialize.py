@@ -13,11 +13,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nlrpb import serialize
-from nlrpb.cli import main
 from nlrpb.cryptoherm import CryptoPair, from_nlrpb
 from nlrpb.errors import SchemaError
 from nlrpb.models import chebyshev_model, chebyshev_paper_normalization
 from nlrpb.pseudoboson import build_ladders, build_metrics, rescale
+
+from cli_runner import run_cli
 
 
 # An entry that is not a finite number, and the end of the message naming it.
@@ -731,16 +732,16 @@ class TestDumpsFloatLists:
 
     def test_model_artifact(self, tmp_path, assert_same_lines):
         path = tmp_path / "model.json"
-        assert main(["model", "chebyshev", "--n", "64", "-o", str(path)]) == 0
+        assert run_cli(["model", "chebyshev", "--n", "64", "-o", path]).rc == 0
         text = path.read_text()
         assert_same_lines(text, _json_dumps(json.loads(text)) + "\n")
 
-    def test_pair_from_a_gauged_system(self, tmp_path, capsys, assert_same_lines):
+    def test_pair_from_a_gauged_system(self, tmp_path, assert_same_lines):
         _, sys = chebyshev_model(32)
         gauged = rescale(sys, np.geomspace(0.1, 10.0, 32))
         src, dst = tmp_path / "sys.json", tmp_path / "pair.json"
         serialize.write_document(src, serialize.system_to_dict(gauged))
-        assert main(["convert", "nlrpb2crypto", str(src), "-o", str(dst)]) == 0
-        report = capsys.readouterr().out
+        rc, report, _, _ = run_cli(["convert", "nlrpb2crypto", src, "-o", dst])
+        assert rc == 0
         for text in (src.read_text(), dst.read_text(), report):
             assert_same_lines(text, _json_dumps(json.loads(text)) + "\n")
